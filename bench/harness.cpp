@@ -180,20 +180,11 @@ eval::EvalConfig default_eval_config() {
 
 std::uint64_t run_fingerprint(const engine::ScenarioConfig& cfg, std::string_view strategy,
                               const baselines::StrategyOptions& options) {
-  // The shared implementation (common/fingerprint.h) is byte-for-byte the
-  // hash this harness historically computed, so pre-existing .bench_cache
-  // entries keep their keys; the svc ResultCache derives its keys from the
-  // same function. Non-default strategy options enter only via the
-  // conditional tail, so default-configured runs keep their keys too. The
-  // kernel-path salt is identity on the scalar path (the backend every
-  // historical entry was produced by), so only SIMD runs get fresh keys.
+  // The shared implementation (common/fingerprint.h), from which the svc
+  // ResultCache derives its keys too. The kernel-path salt is identity on the
+  // scalar path, so only SIMD runs get a key space of their own.
   return nn::salt_with_kernel_path(scenario_fingerprint(
       cfg, strategy, baselines::registry().fingerprint_options(strategy, options)));
-}
-
-std::uint64_t run_fingerprint(const engine::ScenarioConfig& cfg,
-                              baselines::Approach approach) {
-  return run_fingerprint(cfg, baselines::approach_name(approach));
 }
 
 CachedRun run_or_load(const engine::ScenarioConfig& cfg, std::string_view strategy,
@@ -227,16 +218,12 @@ CachedRun run_or_load(const engine::ScenarioConfig& cfg, std::string_view strate
   return run;
 }
 
-CachedRun run_or_load(const engine::ScenarioConfig& cfg, baselines::Approach approach) {
-  return run_or_load(cfg, baselines::approach_name(approach));
-}
-
 std::array<double, 5> success_rates_or_load(const engine::ScenarioConfig& cfg,
-                                            baselines::Approach approach,
-                                            const CachedRun& run, int models_to_eval) {
+                                            std::string_view strategy, const CachedRun& run,
+                                            int models_to_eval) {
   const eval::EvalConfig ec = default_eval_config();
   FnvHasher h;
-  h.add(run_fingerprint(cfg, approach));
+  h.add(run_fingerprint(cfg, strategy));
   h.add(ec.trials);
   h.add(models_to_eval);
   h.add(std::string_view{"success-v1"});
@@ -262,7 +249,7 @@ std::array<double, 5> success_rates_or_load(const engine::ScenarioConfig& cfg,
   }
 
   std::fprintf(stderr, "[bench] online eval of %s (%d models x %d trials)...\n",
-               std::string{baselines::approach_name(approach)}.c_str(), models_to_eval,
+               std::string{strategy}.c_str(), models_to_eval,
                ec.trials);
   eval::OnlineEvaluator evaluator{ec};
   // Spread the evaluated vehicles across the fleet (urban + rural dwellers).

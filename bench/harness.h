@@ -13,7 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "baselines/factory.h"
 #include "baselines/registry.h"
 #include "common/stats.h"
 #include "engine/fleet.h"
@@ -42,30 +41,24 @@ struct CachedRun {
   long train_steps = 0;
 };
 
-/// Deterministic fingerprint of a scenario (all fields) + strategy name +
-/// non-default strategy options (registry-canonicalized; default or absent
-/// options leave the key unchanged, so pre-registry cache entries survive).
+/// Deterministic fingerprint of a scenario (every behaviour-shaping field) +
+/// strategy name + non-default strategy options (registry-canonicalized, so
+/// default and absent options give the same key).
 [[nodiscard]] std::uint64_t run_fingerprint(const engine::ScenarioConfig& cfg,
                                             std::string_view strategy,
                                             const baselines::StrategyOptions& options = {});
-/// Enum shim for the pre-registry bench binaries.
-[[nodiscard]] std::uint64_t run_fingerprint(const engine::ScenarioConfig& cfg,
-                                            baselines::Approach approach);
 
 /// Run the campaign entry (or load it from .bench_cache). Prints a one-line
 /// progress note to stderr when an actual run is required.
 [[nodiscard]] CachedRun run_or_load(const engine::ScenarioConfig& cfg,
                                     std::string_view strategy,
                                     const baselines::StrategyOptions& options = {});
-/// Enum shim for the pre-registry bench binaries.
-[[nodiscard]] CachedRun run_or_load(const engine::ScenarioConfig& cfg,
-                                    baselines::Approach approach);
 
-/// Per-task driving success rates (percent) of an approach's final models:
+/// Per-task driving success rates (percent) of a strategy's final models:
 /// the first `models_to_eval` vehicles' models are deployed on the testing
 /// autopilot and their success rates averaged. Cached.
 [[nodiscard]] std::array<double, 5> success_rates_or_load(const engine::ScenarioConfig& cfg,
-                                                          baselines::Approach approach,
+                                                          std::string_view strategy,
                                                           const CachedRun& run,
                                                           int models_to_eval = 5);
 

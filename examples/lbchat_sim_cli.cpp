@@ -186,12 +186,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--byzantine-frac") == 0) {
       cfg.adversary.byzantine_frac = std::atof(need_value("--byzantine-frac"));
     } else if (std::strcmp(argv[i], "--straggler-frac") == 0) {
-      // One flag drives the whole heterogeneity profile: the same fraction
-      // of compute stragglers and slow radios, plus moderate dataset skew.
-      const double frac = std::atof(need_value("--straggler-frac"));
-      cfg.hetero.straggler_frac = frac;
-      cfg.hetero.slow_radio_frac = frac;
-      cfg.hetero.dataset_skew = frac > 0.0 ? 0.5 : 0.0;
+      engine::apply_straggler_profile(cfg, std::atof(need_value("--straggler-frac")));
     } else if (std::strcmp(argv[i], "--kernel") == 0) {
       const std::string name = need_value("--kernel");
       if (name != "auto") {

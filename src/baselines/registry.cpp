@@ -116,7 +116,7 @@ std::vector<StrategyOptionKv> StrategyRegistry::fingerprint_options(
                                   "'"};
     }
     // Defaults are dropped so an explicitly-default run keys identically to
-    // one that never mentioned the option (fingerprint tail contract).
+    // one that never mentioned the option (common/fingerprint.h).
     if (kv.value != it->default_value) {
       out.push_back(StrategyOptionKv{kv.key, kv.value});
     }

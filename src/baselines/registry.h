@@ -1,5 +1,4 @@
-// String-keyed strategy registry: the open successor of the closed
-// baselines::Approach enum factory.
+// String-keyed strategy registry.
 //
 // Every collaborative-training strategy — the paper's approaches, the LbChat
 // ablations, and the communication-efficiency protocols from related work —
@@ -10,8 +9,7 @@
 // "typo'd knob must not silently run the default" policy.
 //
 // The registry is also the single source of truth for the name list:
-// registration rejects empty and duplicate names, and the deprecated
-// make_strategy(Approach) shim (baselines/factory.h) delegates here.
+// registration rejects empty and duplicate names.
 #pragma once
 
 #include <functional>
@@ -85,8 +83,8 @@ class StrategyRegistry {
   /// Schema-validated canonical view of `options` for cache keys: sorted by
   /// key, with entries equal to the schema default dropped — so a strategy
   /// explicitly configured to its defaults fingerprints identically to one
-  /// whose options were never mentioned (common/fingerprint.h tail
-  /// contract). Throws std::invalid_argument like make().
+  /// whose options were never mentioned (common/fingerprint.h).
+  /// Throws std::invalid_argument like make().
   [[nodiscard]] std::vector<StrategyOptionKv> fingerprint_options(
       std::string_view name, const StrategyOptions& options) const;
 

@@ -1,124 +1,46 @@
 #include "common/fingerprint.h"
 
+#include <cstring>
+#include <type_traits>
+
 #include "engine/scenario.h"
 
 namespace lbchat {
 
-namespace {
+namespace engine {
 
-/// Serialize every fingerprinted scenario field, in the exact order the
-/// bench harness historically hashed them. Field order and encoding are
-/// frozen (tests/fingerprint_test.cpp pins digests); append-only changes go
-/// behind conditional tails like the adversary block below.
-void hash_scenario(FnvHasher& h, const engine::ScenarioConfig& c) {
-  h.add(static_cast<std::uint64_t>(kScenarioFingerprintVersion));
-  h.add(c.seed);
-  h.add(c.num_vehicles);
-  h.add(c.wireless_loss);
-  h.add(c.collect_duration_s);
-  h.add(c.collect_fps);
-  h.add(c.validation_fraction);
-  h.add(c.eval_frames_per_vehicle);
-  h.add(c.duration_s);
-  h.add(c.tick_s);
-  h.add(c.train_interval_s);
-  h.add(c.batch_size);
-  h.add(c.learning_rate);
-  h.add(c.eval_interval_s);
-  h.add(c.time_budget_s);
-  h.add(static_cast<std::uint64_t>(c.coreset_size));
-  h.add(c.pair_cooldown_s);
-  h.add(c.lambda_c);
-  h.add(c.session_timeout_s);
-  h.add(c.coreset_rebuild_interval_s);
-  h.add(c.radio.bandwidth_bps);
-  h.add(c.radio.packet_bytes);
-  h.add(c.radio.max_retransmissions);
-  h.add(c.radio.max_range_m);
-  h.add(static_cast<std::uint64_t>(c.wire.model_bytes));
-  h.add(static_cast<std::uint64_t>(c.wire.coreset_bytes_per_sample));
-  h.add(static_cast<std::uint64_t>(c.wire.assist_info_bytes));
-  h.add(c.world.num_background_cars);
-  h.add(c.world.num_pedestrians);
-  h.add(c.world.car_max_speed);
-  h.add(c.world.urban_dweller_fraction);
-  h.add(c.world.perturb_prob);
-  h.add(c.penalty.lambda1);
-  h.add(c.penalty.lambda2);
-  h.add(c.policy.conv1_channels);
-  h.add(c.policy.conv2_channels);
-  h.add(c.policy.fc_dim);
-  h.add(c.policy.branch_hidden);
-  h.add(c.faults.burst_rate_per_min);
-  h.add(c.faults.burst_duration_s);
-  h.add(c.faults.burst_radius_m);
-  h.add(c.faults.burst_extra_loss);
-  h.add(c.faults.churn_rate_per_min);
-  h.add(c.faults.churn_offline_mean_s);
-  h.add(c.faults.corrupt_prob_near);
-  h.add(c.faults.corrupt_prob_far);
-  h.add(c.faults.chat_backoff);
-  h.add(c.faults.backoff_base);
-  h.add(c.faults.backoff_max_exp);
-  // Conditional tail, mirroring the checkpoint config fingerprint: an
-  // all-off adversary/heterogeneity config hashes exactly like a scenario
-  // that never mentions the robustness layer, so the (bit-inert) layer's
-  // existence cannot split cache keys for non-adversarial runs.
-  if (c.adversary.enabled() || c.hetero.enabled()) {
-    h.add(std::string_view{"adversary-v1"});
-    h.add(c.adversary.byzantine_frac);
-    h.add(c.adversary.poison_models);
-    h.add(c.adversary.poison_scale);
-    h.add(c.adversary.poison_noise);
-    h.add(c.adversary.inflate_coreset_weights);
-    h.add(c.adversary.coreset_inflation);
-    h.add(c.adversary.lie_assist);
-    h.add(c.adversary.assist_bandwidth_lie);
-    h.add(c.hetero.straggler_frac);
-    h.add(c.hetero.straggler_rate);
-    h.add(c.hetero.slow_radio_frac);
-    h.add(c.hetero.slow_radio_scale);
-    h.add(c.hetero.dataset_skew);
-    h.add(c.hetero.dataset_keep_min);
-  }
-  // Int8-eval tail (same conditional pattern): the quantized eval changes
-  // loss trajectories, so an enabled knob must split cache keys — but a
-  // disabled one hashes exactly like a scenario that never mentions it.
-  if (c.int8_eval.enabled) {
-    h.add(std::string_view{"int8-eval-v1"});
-    h.add(c.int8_eval.value_scoring);
-    h.add(c.int8_eval.eval_loss);
-  }
+std::uint64_t config_fingerprint(const ScenarioConfig& cfg) {
+  static const ScenarioConfig kDefaults{};
+  ScenarioConfig c = cfg;
+  if (!c.adversary.enabled()) c.adversary = kDefaults.adversary;
+  if (!c.hetero.enabled()) c.hetero = kDefaults.hetero;
+  if (!c.int8_eval.enabled) c.int8_eval = kDefaults.int8_eval;
+  FnvHasher h;
+  for_each_field(c, kDefaults, [&h](std::string_view name, const auto& v, const auto& d) {
+    if (std::memcmp(&v, &d, sizeof v) == 0) return;
+    h.add(name);
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, bool> || !std::is_unsigned_v<T>) {
+      h.add(v);
+    } else {
+      h.add(static_cast<std::uint64_t>(v));
+    }
+  });
+  return h.digest();
 }
 
-}  // namespace
+}  // namespace engine
 
-std::uint64_t scenario_fingerprint(const engine::ScenarioConfig& cfg,
-                                   std::string_view approach) {
-  return scenario_fingerprint(cfg, approach, {});
-}
-
-std::uint64_t scenario_fingerprint(const engine::ScenarioConfig& cfg,
-                                   std::string_view approach,
+std::uint64_t scenario_fingerprint(const engine::ScenarioConfig& cfg, std::string_view strategy,
                                    std::span<const StrategyOptionKv> options) {
   FnvHasher h;
-  h.add(approach);
-  // Protocol revision salt for the LbChat-family strategies (phi sampling +
-  // aggregation guard changes invalidate only their cached runs).
-  if (approach == "LbChat" || approach == "LbChat(equal-comp)" ||
-      approach == "LbChat(avg-agg)") {
-    h.add(std::string_view{"lbchat-proto-v3"});
-  }
-  hash_scenario(h, cfg);
-  // Conditional tail: a strategy running on its schema defaults hashes
-  // exactly like one whose options were never mentioned, so the registry's
-  // existence cannot split cache keys for default-configured runs.
-  if (!options.empty()) {
-    h.add(std::string_view{"strategy-options-v1"});
-    for (const StrategyOptionKv& kv : options) {
-      h.add(std::string_view{kv.key});
-      h.add(kv.value);
-    }
+  h.add(static_cast<std::uint64_t>(kScenarioFingerprintVersion));
+  h.add(strategy);
+  h.add(engine::config_fingerprint(cfg));
+  h.add(cfg.duration_s);
+  for (const StrategyOptionKv& kv : options) {
+    h.add("strategy." + kv.key);
+    h.add(kv.value);
   }
   return h.digest();
 }

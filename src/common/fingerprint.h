@@ -1,18 +1,22 @@
-// FNV-1a fingerprinting shared by every result cache in the repo.
+// FNV-1a fingerprinting shared by every result cache and by checkpoints.
 //
-// The bench harness caches training runs on disk keyed by a fingerprint of
-// the full scenario configuration + approach name; the fleet-evaluation
-// service (src/svc) keys its ResultCache the same way so a job submitted
-// twice runs once. Both caches MUST derive their keys from the one
-// implementation here — tests/fingerprint_test.cpp pins known digests so the
-// key derivation cannot silently drift and stale cache entries cannot be
-// served for changed configurations.
+// The bench harness caches training runs on disk keyed by
+// scenario_fingerprint; the fleet-evaluation service (src/svc) keys its
+// ResultCache the same way, so a job submitted twice runs once. Checkpoints
+// carry config_fingerprint, so a restore into a different scenario is
+// refused. Both digests come from the one field table
+// engine::for_each_field (engine/scenario.h), and tests/fingerprint_test.cpp
+// pins known digests so the derivation cannot silently drift.
 //
-// Scheme: typed fields are serialized through a ByteWriter (the same
-// little-endian layout as the wire formats) and the byte stream is hashed
-// with 64-bit FNV-1a. Deliberately NOT hashed: num_threads and the
-// spatial-index knob (bit-identical results for any value — pure wall-clock
-// knobs). duration_s IS hashed: a cache entry answers one exact horizon.
+// Scheme: a field enters a digest as its dotted name plus its value, and only
+// when its bits differ from ScenarioConfig{}; a disabled adversary, hetero or
+// int8_eval layer counts as all-default. So a default field hashes nothing,
+// and adding a field to the table moves no existing digest. Names and values
+// are serialized through a ByteWriter (the little-endian layout of the wire
+// formats) and the byte stream is hashed with 64-bit FNV-1a. num_threads and
+// spatial_index are not in the table (pure wall-clock knobs). duration_s is
+// hashed by the scenario fingerprint only: a cache entry answers one exact
+// horizon, while a resumed checkpoint may extend it.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +28,12 @@
 
 namespace lbchat::engine {
 struct ScenarioConfig;
+
+/// Digest of every for_each_field row of `cfg` whose bits differ from
+/// ScenarioConfig{}, after resetting the adversary, hetero and int8_eval
+/// layers to their defaults when disabled. Stamped into checkpoints: a
+/// resumed run may change duration_s and num_threads, nothing else.
+[[nodiscard]] std::uint64_t config_fingerprint(const ScenarioConfig& cfg);
 }  // namespace lbchat::engine
 
 namespace lbchat {
@@ -62,15 +72,7 @@ class FnvHasher {
 /// Version salt mixed into every scenario fingerprint. Bump to invalidate
 /// all cached results (bench .bench_cache entries and svc ResultCache
 /// entries alike) after behavioural code changes.
-inline constexpr std::uint32_t kScenarioFingerprintVersion = 3;
-
-/// Deterministic fingerprint of a scenario (every behaviour-shaping field,
-/// including duration_s) + the approach name, exactly as the bench cache has
-/// always computed it. An all-off adversary/heterogeneity config hashes like
-/// a scenario that never mentions the robustness layer, so the bit-inert
-/// layer's existence cannot split cache keys for non-adversarial runs.
-[[nodiscard]] std::uint64_t scenario_fingerprint(const engine::ScenarioConfig& cfg,
-                                                 std::string_view approach);
+inline constexpr std::uint32_t kScenarioFingerprintVersion = 4;
 
 /// One canonical (non-default, schema-validated) strategy option as it enters
 /// the fingerprint. Produced by baselines::StrategyRegistry::
@@ -81,13 +83,11 @@ struct StrategyOptionKv {
   double value = 0.0;
 };
 
-/// Options-aware fingerprint: identical to the two-argument overload when
-/// `options` is empty (default-configured strategies keep their historical
-/// cache keys, bench goldens and svc ResultCache entries alike); non-default
-/// options enter via a marked conditional tail, the same trick as the
-/// adversary tail above and the checkpoint 0x5C/0xAD section markers.
+/// Cache key of a run: the version salt, the strategy name, the
+/// config_fingerprint of `cfg`, duration_s, and each of `options` as a
+/// "strategy.<key>" name/value pair (so empty options hash like none).
 [[nodiscard]] std::uint64_t scenario_fingerprint(const engine::ScenarioConfig& cfg,
-                                                 std::string_view approach,
-                                                 std::span<const StrategyOptionKv> options);
+                                                 std::string_view strategy,
+                                                 std::span<const StrategyOptionKv> options = {});
 
 }  // namespace lbchat

@@ -31,8 +31,8 @@
 // scales are derived in the constructor (never serialized); with the default
 // all-off configs neither model consumes randomness nor perturbs anything —
 // runs are bit-identical to an engine without this subsystem, and the
-// checkpoint/config-fingerprint bytes are unchanged (conditional-tail
-// pattern, engine/checkpoint.cpp).
+// checkpoint/config-fingerprint bytes are unchanged (a disabled layer hashes
+// like its defaults, common/fingerprint.h).
 #pragma once
 
 #include <cstdint>

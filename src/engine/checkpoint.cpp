@@ -26,147 +26,6 @@ constexpr std::uint8_t kNumSections = 9;
 constexpr std::uint8_t kMaxEventKind =
     static_cast<std::uint8_t>(obs::EventKind::kStragglerSkip);
 
-void fnv_mix(std::uint64_t& h, std::span<const std::uint8_t> bytes) {
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001B3ull;
-  }
-}
-
-/// Serialize every config field that shapes simulation state, in declaration
-/// order. duration_s and num_threads are deliberately absent (checkpoint.h).
-void write_config(ByteWriter& w, const ScenarioConfig& c) {
-  w.write_u64(c.seed);
-  w.write_i32(c.num_vehicles);
-  const sim::TownConfig& t = c.world.town;
-  w.write_f64(t.extent_m);
-  w.write_i32(t.urban_grid);
-  w.write_f64(t.urban_spacing_m);
-  w.write_f64(t.urban_origin_m);
-  w.write_f64(t.rural_margin_m);
-  w.write_i32(t.rural_ring_nodes);
-  w.write_f64(t.edge_drop_prob);
-  w.write_f64(t.road_half_width_m);
-  w.write_f64(t.raster_cell_m);
-  const auto write_bev = [&w](const data::BevSpec& b) {
-    w.write_i32(b.channels);
-    w.write_i32(b.height);
-    w.write_i32(b.width);
-    w.write_f64(b.cell_m);
-  };
-  const sim::WorldConfig& wc = c.world;
-  write_bev(wc.bev);
-  w.write_i32(wc.num_background_cars);
-  w.write_i32(wc.num_pedestrians);
-  w.write_f64(wc.car_radius_m);
-  w.write_f64(wc.ped_radius_m);
-  w.write_f64(wc.car_max_speed);
-  w.write_f64(wc.turn_speed);
-  w.write_f64(wc.accel);
-  w.write_f64(wc.brake_decel);
-  w.write_f64(wc.min_gap_m);
-  w.write_f64(wc.obstacle_lookahead_m);
-  w.write_f64(wc.corridor_halfwidth_m);
-  w.write_f64(wc.lane_offset_m);
-  w.write_f64(wc.deadlock_patience_s);
-  w.write_f64(wc.deadlock_ignore_s);
-  w.write_f64(wc.bend_lookahead_m);
-  w.write_f64(wc.bend_threshold_rad);
-  w.write_f64(wc.perturb_prob);
-  w.write_f64(wc.perturb_lateral_max_m);
-  w.write_f64(wc.perturb_heading_max_rad);
-  w.write_f64(wc.ped_speed);
-  w.write_f64(wc.ped_target_radius_m);
-  w.write_f64(wc.waypoint_dt_s);
-  w.write_f64(wc.urban_dweller_fraction);
-  w.write_f64(c.radio.bandwidth_bps);
-  w.write_i32(c.radio.packet_bytes);
-  w.write_i32(c.radio.max_retransmissions);
-  w.write_f64(c.radio.max_range_m);
-  w.write_u64(c.wire.model_bytes);
-  w.write_u64(c.wire.coreset_bytes_per_sample);
-  w.write_u64(c.wire.assist_info_bytes);
-  w.write_u8(c.wireless_loss ? 1 : 0);
-  w.write_f64(c.collect_duration_s);
-  w.write_f64(c.collect_fps);
-  w.write_f64(c.validation_fraction);
-  w.write_i32(c.eval_frames_per_vehicle);
-  w.write_f64(c.tick_s);
-  w.write_f64(c.train_interval_s);
-  w.write_i32(c.batch_size);
-  w.write_f64(c.learning_rate);
-  w.write_f64(c.eval_interval_s);
-  w.write_f64(c.time_budget_s);
-  w.write_u64(c.coreset_size);
-  w.write_f64(c.pair_cooldown_s);
-  w.write_f64(c.lambda_c);
-  w.write_f64(c.session_timeout_s);
-  w.write_f64(c.coreset_rebuild_interval_s);
-  write_bev(c.policy.bev);
-  w.write_i32(c.policy.conv1_channels);
-  w.write_i32(c.policy.conv2_channels);
-  w.write_i32(c.policy.fc_dim);
-  w.write_i32(c.policy.branch_hidden);
-  w.write_f64(c.penalty.lambda1);
-  w.write_f64(c.penalty.lambda2);
-  const FaultConfig& f = c.faults;
-  w.write_f64(f.burst_rate_per_min);
-  w.write_f64(f.burst_duration_s);
-  w.write_f64(f.burst_radius_m);
-  w.write_f64(f.burst_extra_loss);
-  w.write_f64(f.churn_rate_per_min);
-  w.write_f64(f.churn_offline_mean_s);
-  w.write_f64(f.corrupt_prob_near);
-  w.write_f64(f.corrupt_prob_far);
-  w.write_u8(f.chat_backoff ? 1 : 0);
-  w.write_f64(f.backoff_base);
-  w.write_i32(f.backoff_max_exp);
-  // Fleet-scaling knobs (DESIGN.md §11). spatial_index is deliberately
-  // absent: neighbor queries through the grid are exact, so it is a pure
-  // wall-clock knob like num_threads. snapshot_mobility and
-  // parallel_sessions DO change trajectories / RNG stream assignment, so
-  // they must fingerprint — but the block is written only when one of them
-  // is on, keeping every pre-existing (default-config) checkpoint and golden
-  // digest byte-identical.
-  if (c.world.snapshot_mobility || c.parallel_sessions) {
-    w.write_u8(0x5C);
-    w.write_u8(c.world.snapshot_mobility ? 1 : 0);
-    w.write_u8(c.parallel_sessions ? 1 : 0);
-  }
-  // Adversary/heterogeneity block (same conditional-tail pattern): written
-  // only when one of the layers is configured, so all-off runs keep the
-  // pre-existing fingerprint and checkpoint bytes. The fingerprint is hashed,
-  // never parsed, so appending fields here is always safe.
-  if (c.adversary.enabled() || c.hetero.enabled()) {
-    w.write_u8(0xAD);
-    const AdversaryConfig& a = c.adversary;
-    w.write_f64(a.byzantine_frac);
-    w.write_u8(a.poison_models ? 1 : 0);
-    w.write_f64(a.poison_scale);
-    w.write_f64(a.poison_noise);
-    w.write_u8(a.inflate_coreset_weights ? 1 : 0);
-    w.write_f64(a.coreset_inflation);
-    w.write_u8(a.lie_assist ? 1 : 0);
-    w.write_f64(a.assist_bandwidth_lie);
-    const HeteroConfig& h = c.hetero;
-    w.write_f64(h.straggler_frac);
-    w.write_f64(h.straggler_rate);
-    w.write_f64(h.slow_radio_frac);
-    w.write_f64(h.slow_radio_scale);
-    w.write_f64(h.dataset_skew);
-    w.write_f64(h.dataset_keep_min);
-  }
-  // Int8-eval block (same conditional-tail pattern, marker 0x18): written
-  // only when the quantized eval path is on, so default-config checkpoints
-  // keep their pre-existing bytes. A resume must replay the same eval
-  // numerics, hence the knob fingerprints whenever it is live.
-  if (c.int8_eval.enabled) {
-    w.write_u8(0x18);
-    w.write_u8(c.int8_eval.value_scoring ? 1 : 0);
-    w.write_u8(c.int8_eval.eval_loss ? 1 : 0);
-  }
-}
-
 void write_time_series(ByteWriter& w, const TimeSeries& ts) {
   w.write_f64_vec(ts.times);
   w.write_f64_vec(ts.values);
@@ -209,14 +68,6 @@ std::string_view to_string(CkptStatus s) {
     case CkptStatus::kMalformed: return "malformed";
   }
   return "?";
-}
-
-std::uint64_t config_fingerprint(const ScenarioConfig& cfg) {
-  ByteWriter w;
-  write_config(w, cfg);
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  fnv_mix(h, w.bytes());
-  return h;
 }
 
 std::string ckpt_info_json(const CkptInfo& info) {

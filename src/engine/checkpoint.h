@@ -22,6 +22,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/fingerprint.h"
+
 namespace lbchat {
 class ByteWriter;
 class ByteReader;
@@ -31,8 +33,9 @@ namespace lbchat::engine {
 
 struct ScenarioConfig;
 
-/// Bumped on any incompatible change to the checkpoint payload layout.
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// Bumped on any incompatible change to the checkpoint payload layout or to
+/// the config_fingerprint it carries (2: fingerprint over the field table).
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Section tags of the checkpoint body (u8 on the wire). Every section is
 /// length-prefixed, so tooling can walk the structure without the config.
@@ -61,12 +64,6 @@ enum class CkptStatus : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(CkptStatus s);
-
-/// FNV-1a fingerprint of every ScenarioConfig field that shapes simulation
-/// state. duration_s and num_threads are deliberately EXCLUDED: a resumed run
-/// may extend the horizon or change the lane count without breaking
-/// bit-exactness (the engine is deterministic across thread counts).
-[[nodiscard]] std::uint64_t config_fingerprint(const ScenarioConfig& cfg);
 
 /// Structural summary of a checkpoint, produced without a ScenarioConfig.
 struct CkptInfo {

@@ -3,7 +3,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <concepts>
 #include <cstdint>
+#include <string_view>
+#include <type_traits>
 
 #include "coreset/coreset.h"
 #include "engine/adversary.h"
@@ -19,8 +22,7 @@ namespace lbchat::engine {
 /// engine's mean_eval_loss sweeps. Off by default and bit-inert when off —
 /// default-configured runs hash, checkpoint, and evaluate exactly as before.
 /// When enabled, loss trajectories change (quantized eval numerics), so the
-/// knob joins the scenario fingerprint and the checkpoint config fingerprint
-/// via conditional tails like the adversary/scaling blocks.
+/// knob's rows (for_each_field below) enter both config fingerprints.
 struct Int8EvalConfig {
   bool enabled = false;
   /// Quantize the models evaluated during chat value scoring (Eq. (7)/(8)
@@ -41,7 +43,7 @@ struct ScenarioConfig {
   /// Worker lanes for the per-vehicle training/eval loops: 0 = hardware
   /// concurrency, 1 = sequential. Runs are bit-identical for any value
   /// (every vehicle owns its Rng/ParamStore), so this is a pure wall-clock
-  /// knob and is deliberately excluded from the bench cache fingerprint.
+  /// knob and has no row in for_each_field.
   int num_threads = 1;
 
   sim::WorldConfig world{};
@@ -89,8 +91,7 @@ struct ScenarioConfig {
   /// once per tick instead of an O(n^2) all-pairs scan. The grid is an exact
   /// candidate filter (same set, same ascending-id order, same inclusive
   /// boundary as the scan), so runs are bit-identical either way: a pure
-  /// wall-clock knob, excluded from the checkpoint config fingerprint like
-  /// num_threads.
+  /// wall-clock knob with no row in for_each_field, like num_threads.
   bool spatial_index = true;
   /// Per-session RNG streams + parallel transfer ticks with an ordered
   /// sequential commit. Changes which RNG stream packet noise draws from
@@ -110,7 +111,7 @@ struct ScenarioConfig {
   /// Byzantine-peer model (engine/adversary.h): a seeded subset of vehicles
   /// mutates its outgoing payloads — sign-flipped models, inflated coreset
   /// weights, lying assist info — all CRC-valid on the wire. Off by default
-  /// (bit-inert, and absent from the checkpoint config fingerprint when off).
+  /// (bit-inert, and absent from both config fingerprints when off).
   AdversaryConfig adversary{};
   /// Fleet heterogeneity (engine/adversary.h): compute stragglers, slow
   /// radios, skewed dataset sizes. Off by default with the same bit-inertness
@@ -120,6 +121,123 @@ struct ScenarioConfig {
   /// Int8 evaluation path (above). Off by default; bit-inert when off.
   Int8EvalConfig int8_eval{};
 };
+
+/// The scenario field table: calls `visit(name, field, default_field)` once
+/// per behaviour-shaping leaf of `cfg`, in a fixed order, with `name` the
+/// field's dotted path ("world.town.extent_m") and `default_field` the same
+/// leaf of `defaults`. Both config fingerprints (common/fingerprint.h) are
+/// derived from it, hashing only the rows whose bits differ from the default,
+/// so a field added here later moves no existing digest. Not rows:
+/// num_threads and spatial_index (wall-clock only) and duration_s (the
+/// horizon, which only the scenario fingerprint hashes). `Config` may be
+/// non-const, so a visitor can also edit the fields.
+template <class Config, class Visit>
+  requires std::same_as<std::remove_const_t<Config>, ScenarioConfig>
+void for_each_field(Config& cfg, const ScenarioConfig& defaults, Visit&& visit) {
+#define LBCHAT_FIELD(path) visit(std::string_view{#path}, cfg.path, defaults.path)
+  LBCHAT_FIELD(seed);
+  LBCHAT_FIELD(num_vehicles);
+  LBCHAT_FIELD(world.town.extent_m);
+  LBCHAT_FIELD(world.town.urban_grid);
+  LBCHAT_FIELD(world.town.urban_spacing_m);
+  LBCHAT_FIELD(world.town.urban_origin_m);
+  LBCHAT_FIELD(world.town.rural_margin_m);
+  LBCHAT_FIELD(world.town.rural_ring_nodes);
+  LBCHAT_FIELD(world.town.edge_drop_prob);
+  LBCHAT_FIELD(world.town.road_half_width_m);
+  LBCHAT_FIELD(world.town.raster_cell_m);
+  LBCHAT_FIELD(world.bev.channels);
+  LBCHAT_FIELD(world.bev.height);
+  LBCHAT_FIELD(world.bev.width);
+  LBCHAT_FIELD(world.bev.cell_m);
+  LBCHAT_FIELD(world.num_background_cars);
+  LBCHAT_FIELD(world.num_pedestrians);
+  LBCHAT_FIELD(world.car_radius_m);
+  LBCHAT_FIELD(world.ped_radius_m);
+  LBCHAT_FIELD(world.car_max_speed);
+  LBCHAT_FIELD(world.turn_speed);
+  LBCHAT_FIELD(world.accel);
+  LBCHAT_FIELD(world.brake_decel);
+  LBCHAT_FIELD(world.min_gap_m);
+  LBCHAT_FIELD(world.obstacle_lookahead_m);
+  LBCHAT_FIELD(world.corridor_halfwidth_m);
+  LBCHAT_FIELD(world.lane_offset_m);
+  LBCHAT_FIELD(world.deadlock_patience_s);
+  LBCHAT_FIELD(world.deadlock_ignore_s);
+  LBCHAT_FIELD(world.bend_lookahead_m);
+  LBCHAT_FIELD(world.bend_threshold_rad);
+  LBCHAT_FIELD(world.perturb_prob);
+  LBCHAT_FIELD(world.perturb_lateral_max_m);
+  LBCHAT_FIELD(world.perturb_heading_max_rad);
+  LBCHAT_FIELD(world.ped_speed);
+  LBCHAT_FIELD(world.ped_target_radius_m);
+  LBCHAT_FIELD(world.waypoint_dt_s);
+  LBCHAT_FIELD(world.urban_dweller_fraction);
+  LBCHAT_FIELD(world.snapshot_mobility);
+  LBCHAT_FIELD(radio.bandwidth_bps);
+  LBCHAT_FIELD(radio.packet_bytes);
+  LBCHAT_FIELD(radio.max_retransmissions);
+  LBCHAT_FIELD(radio.max_range_m);
+  LBCHAT_FIELD(wire.model_bytes);
+  LBCHAT_FIELD(wire.coreset_bytes_per_sample);
+  LBCHAT_FIELD(wire.assist_info_bytes);
+  LBCHAT_FIELD(wireless_loss);
+  LBCHAT_FIELD(collect_duration_s);
+  LBCHAT_FIELD(collect_fps);
+  LBCHAT_FIELD(validation_fraction);
+  LBCHAT_FIELD(eval_frames_per_vehicle);
+  LBCHAT_FIELD(tick_s);
+  LBCHAT_FIELD(train_interval_s);
+  LBCHAT_FIELD(batch_size);
+  LBCHAT_FIELD(learning_rate);
+  LBCHAT_FIELD(eval_interval_s);
+  LBCHAT_FIELD(time_budget_s);
+  LBCHAT_FIELD(coreset_size);
+  LBCHAT_FIELD(pair_cooldown_s);
+  LBCHAT_FIELD(lambda_c);
+  LBCHAT_FIELD(session_timeout_s);
+  LBCHAT_FIELD(coreset_rebuild_interval_s);
+  LBCHAT_FIELD(parallel_sessions);
+  LBCHAT_FIELD(policy.bev.channels);
+  LBCHAT_FIELD(policy.bev.height);
+  LBCHAT_FIELD(policy.bev.width);
+  LBCHAT_FIELD(policy.bev.cell_m);
+  LBCHAT_FIELD(policy.conv1_channels);
+  LBCHAT_FIELD(policy.conv2_channels);
+  LBCHAT_FIELD(policy.fc_dim);
+  LBCHAT_FIELD(policy.branch_hidden);
+  LBCHAT_FIELD(penalty.lambda1);
+  LBCHAT_FIELD(penalty.lambda2);
+  LBCHAT_FIELD(faults.burst_rate_per_min);
+  LBCHAT_FIELD(faults.burst_duration_s);
+  LBCHAT_FIELD(faults.burst_radius_m);
+  LBCHAT_FIELD(faults.burst_extra_loss);
+  LBCHAT_FIELD(faults.churn_rate_per_min);
+  LBCHAT_FIELD(faults.churn_offline_mean_s);
+  LBCHAT_FIELD(faults.corrupt_prob_near);
+  LBCHAT_FIELD(faults.corrupt_prob_far);
+  LBCHAT_FIELD(faults.chat_backoff);
+  LBCHAT_FIELD(faults.backoff_base);
+  LBCHAT_FIELD(faults.backoff_max_exp);
+  LBCHAT_FIELD(adversary.byzantine_frac);
+  LBCHAT_FIELD(adversary.poison_models);
+  LBCHAT_FIELD(adversary.poison_scale);
+  LBCHAT_FIELD(adversary.poison_noise);
+  LBCHAT_FIELD(adversary.inflate_coreset_weights);
+  LBCHAT_FIELD(adversary.coreset_inflation);
+  LBCHAT_FIELD(adversary.lie_assist);
+  LBCHAT_FIELD(adversary.assist_bandwidth_lie);
+  LBCHAT_FIELD(hetero.straggler_frac);
+  LBCHAT_FIELD(hetero.straggler_rate);
+  LBCHAT_FIELD(hetero.slow_radio_frac);
+  LBCHAT_FIELD(hetero.slow_radio_scale);
+  LBCHAT_FIELD(hetero.dataset_skew);
+  LBCHAT_FIELD(hetero.dataset_keep_min);
+  LBCHAT_FIELD(int8_eval.enabled);
+  LBCHAT_FIELD(int8_eval.value_scoring);
+  LBCHAT_FIELD(int8_eval.eval_loss);
+#undef LBCHAT_FIELD
+}
 
 /// One-line metro fleet: grow the scenario to `num_vehicles` while holding
 /// density constant. The town is tiled by sqrt(count ratio) — map extent,
@@ -143,6 +261,16 @@ inline void apply_metro_scale(ScenarioConfig& cfg, int num_vehicles) {
   cfg.spatial_index = true;
   cfg.parallel_sessions = true;
   cfg.world.snapshot_mobility = true;
+}
+
+/// One-knob fleet heterogeneity: a fraction `frac` of the vehicles are
+/// compute stragglers and (independently drawn) `frac` have slow radios, and
+/// any nonzero `frac` also skews dataset sizes by 0.5. Exposed to the CLI as
+/// --straggler-frac and to job specs as "straggler_frac".
+inline void apply_straggler_profile(ScenarioConfig& cfg, double frac) {
+  cfg.hetero.straggler_frac = frac;
+  cfg.hetero.slow_radio_frac = frac;
+  cfg.hetero.dataset_skew = frac > 0.0 ? 0.5 : 0.0;
 }
 
 }  // namespace lbchat::engine

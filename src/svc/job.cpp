@@ -189,12 +189,7 @@ bool parse_job_spec(std::string_view text, JobSpec& out, std::string& error) {
     } else if (key == "byzantine_frac") {
       want_number(ctx, key, v, cfg.adversary.byzantine_frac);
     } else if (key == "straggler_frac") {
-      // One knob drives the whole heterogeneity profile, like the CLI flag.
-      if (want_number(ctx, key, v, v_num)) {
-        cfg.hetero.straggler_frac = v_num;
-        cfg.hetero.slow_radio_frac = v_num;
-        cfg.hetero.dataset_skew = v_num > 0.0 ? 0.5 : 0.0;
-      }
+      if (want_number(ctx, key, v, v_num)) engine::apply_straggler_profile(cfg, v_num);
     } else if (key == "background_cars") {
       want_int(ctx, key, v, cfg.world.num_background_cars);
     } else if (key == "pedestrians") {

@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/factory.h"
+#include "baselines/registry.h"
 #include "common/bytes.h"
 #include "common/frame.h"
 #include "coreset/coreset_io.h"
@@ -75,7 +75,7 @@ engine::ScenarioConfig adv_cfg(std::uint64_t seed, double byz_frac, double strag
 }
 
 FleetSim make_sim(const engine::ScenarioConfig& cfg, const char* approach) {
-  return FleetSim{cfg, baselines::make_strategy(baselines::approach_from_name(approach))};
+  return FleetSim{cfg, baselines::registry().make(approach)};
 }
 
 std::vector<std::uint64_t> curve_bits(const engine::RunMetrics& m) {
@@ -126,9 +126,10 @@ TEST(Adversary, AllOffIsInert) {
 }
 
 TEST(Adversary, AllOffKeepsConfigFingerprintAndCheckpointTailAbsent) {
-  // The conditional config tail must leave a default config's fingerprint
-  // untouched by the mere existence of the adversary/hetero fields, and two
-  // enabled configs with different knobs must diverge.
+  // A disabled adversary/hetero layer hashes like its defaults, so the mere
+  // existence of the fields leaves a default config's fingerprint untouched;
+  // enabling a layer splits it, and two enabled configs with different knobs
+  // must diverge.
   engine::ScenarioConfig base = adv_cfg(7, 0.0, 0.0);
   engine::ScenarioConfig enabled = adv_cfg(7, 0.25, 0.0);
   engine::ScenarioConfig enabled2 = adv_cfg(7, 0.5, 0.0);

@@ -1,18 +1,25 @@
 // Tests for the benchmark strategies: ProxSkip, RSU-L, DFL-DDS, DP,
-// DynThresh, SimGossip, the factory, and their aggregation rules.
+// DynThresh, SimGossip, construction by registry name, and their aggregation
+// rules.
 #include <gtest/gtest.h>
 
 #include "baselines/dfl_dds.h"
 #include "baselines/dp.h"
 #include "baselines/dyn_thresh.h"
-#include "baselines/factory.h"
 #include "baselines/proxskip.h"
+#include "baselines/registry.h"
 #include "baselines/rsul.h"
 #include "baselines/sim_gossip.h"
 #include "engine/fleet.h"
 
 namespace lbchat::baselines {
 namespace {
+
+/// The paper's eight strategies in paper-table order, which is also the
+/// order they are registered in.
+constexpr const char* kPaperStrategies[] = {
+    "ProxSkip", "RSU-L", "DFL-DDS", "DP", "LbChat", "SCO", "LbChat(equal-comp)",
+    "LbChat(avg-agg)"};
 
 engine::ScenarioConfig small_scenario() {
   engine::ScenarioConfig cfg;
@@ -30,13 +37,15 @@ engine::ScenarioConfig small_scenario() {
 // ---------------------------------------------------------------- factory
 
 TEST(FactoryTest, NamesRoundtrip) {
-  for (const Approach a : kAllApproaches) {
-    EXPECT_EQ(approach_from_name(approach_name(a)), a);
-    const auto strategy = make_strategy(a);
+  const auto names = registry().list();
+  ASSERT_GE(names.size(), std::size(kPaperStrategies));
+  for (std::size_t i = 0; i < std::size(kPaperStrategies); ++i) {
+    EXPECT_EQ(names[i], kPaperStrategies[i]);
+    const auto strategy = registry().make(kPaperStrategies[i]);
     ASSERT_NE(strategy, nullptr);
-    EXPECT_EQ(strategy->name(), approach_name(a));
+    EXPECT_EQ(strategy->name(), kPaperStrategies[i]);
   }
-  EXPECT_THROW((void)approach_from_name("NotAnApproach"), std::invalid_argument);
+  EXPECT_THROW((void)registry().make("NotAnApproach"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- ProxSkip
@@ -244,25 +253,30 @@ TEST(SimGossipTest, GossipExchangesAndImproves) {
 
 // ------------------------------------------------- cross-strategy sanity
 
-class EveryApproachTest : public ::testing::TestWithParam<Approach> {};
+/// Index into kPaperStrategies. A 4-byte struct rather than an int keeps the
+/// parameterized test names ("4-byte object <00-00 00-00>") stable.
+struct PaperStrategy {
+  std::int32_t index;
+};
+
+class EveryApproachTest : public ::testing::TestWithParam<PaperStrategy> {};
 
 TEST_P(EveryApproachTest, RunsAndLearns) {
+  const char* name = kPaperStrategies[GetParam().index];
   auto cfg = small_scenario();
   cfg.duration_s = 200.0;
-  engine::FleetSim sim{cfg, make_strategy(GetParam())};
+  engine::FleetSim sim{cfg, registry().make(name)};
   const auto m = sim.run();
   ASSERT_GE(m.loss_curve.size(), 2u);
   EXPECT_LT(m.loss_curve.values.back(), m.loss_curve.values.front())
-      << approach_name(GetParam()) << " failed to reduce the held-out loss";
+      << name << " failed to reduce the held-out loss";
   EXPECT_EQ(m.final_params.size(), static_cast<std::size_t>(cfg.num_vehicles));
 }
 
 INSTANTIATE_TEST_SUITE_P(All, EveryApproachTest,
-                         ::testing::Values(Approach::kProxSkip, Approach::kRsuL,
-                                           Approach::kDflDds, Approach::kDp,
-                                           Approach::kLbChat, Approach::kSco,
-                                           Approach::kLbChatEqualComp,
-                                           Approach::kLbChatAvgAgg));
+                         ::testing::Values(PaperStrategy{0}, PaperStrategy{1}, PaperStrategy{2},
+                                           PaperStrategy{3}, PaperStrategy{4}, PaperStrategy{5},
+                                           PaperStrategy{6}, PaperStrategy{7}));
 
 }  // namespace
 }  // namespace lbchat::baselines

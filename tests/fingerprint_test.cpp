@@ -1,24 +1,59 @@
 // Pins the shared fingerprint implementation (common/fingerprint.h) that
-// both the bench result cache and the fleet service's ResultCache key on.
-// The digests below are frozen: a change means every cached result on disk
-// is silently mis-keyed, so treat a failure here as a cache-format break and
-// bump kScenarioFingerprintVersion rather than updating the constants.
+// both the bench result cache and the fleet service's ResultCache key on,
+// and checks the field table (engine::for_each_field) both config digests
+// derive from. The digests below are frozen: a change means every cached
+// result on disk is silently mis-keyed, so treat a failure here as a
+// cache-format break and bump kScenarioFingerprintVersion rather than
+// updating the constants.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/fingerprint.h"
 #include "engine/scenario.h"
 #include "nn/kernel_dispatch.h"
+#include "svc/job.h"
 
 namespace lbchat {
 namespace {
 
 std::span<const std::uint8_t> bytes_of(std::string_view s) {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+/// A scenario with the adversary, hetero and int8 layers switched on, so
+/// every row of the field table is live.
+engine::ScenarioConfig live_scenario() {
+  engine::ScenarioConfig c;
+  c.adversary.byzantine_frac = 0.25;
+  c.hetero.straggler_frac = 0.25;
+  c.int8_eval.enabled = true;
+  return c;
+}
+
+std::vector<std::string> row_names() {
+  std::vector<std::string> names;
+  const engine::ScenarioConfig cfg;
+  engine::for_each_field(cfg, cfg, [&names](std::string_view name, const auto&, const auto&) {
+    names.emplace_back(name);
+  });
+  return names;
+}
+
+/// Move a field off its current value: flip a bool, add one to a number.
+template <class T>
+void perturb(T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = !v;
+  } else {
+    v = v + T{1};
+  }
 }
 
 TEST(Fnv1aTest, PinnedVectors) {
@@ -48,14 +83,17 @@ TEST(FnvHasherTest, EmptyDigestIsOffsetBasis) {
 }
 
 TEST(ScenarioFingerprintTest, PinnedDefaults) {
-  // Frozen digests of the default scenario under two approaches, exactly as
-  // the bench cache has keyed them since kScenarioFingerprintVersion = 3.
+  // Frozen digests of the default scenario under two strategies, as the
+  // bench cache has keyed them since kScenarioFingerprintVersion = 4.
   const engine::ScenarioConfig cfg;
-  EXPECT_EQ(scenario_fingerprint(cfg, "LbChat"), 0xB64685EC8CDC8984ull);
-  EXPECT_EQ(scenario_fingerprint(cfg, "ProxSkip"), 0x60AB808818EF3AFAull);
+  EXPECT_EQ(scenario_fingerprint(cfg, "LbChat"), 0xE08D9913EB871434ull);
+  EXPECT_EQ(scenario_fingerprint(cfg, "ProxSkip"), 0x2FAC96903FBDD360ull);
   engine::ScenarioConfig seeded = cfg;
   seeded.seed = 2;
-  EXPECT_EQ(scenario_fingerprint(seeded, "LbChat"), 0x38C370FBD211AC4Full);
+  EXPECT_EQ(scenario_fingerprint(seeded, "LbChat"), 0x5CBC7FB51B85D319ull);
+  // The default scenario has no non-default row, so its config digest is
+  // the hash of nothing.
+  EXPECT_EQ(engine::config_fingerprint(cfg), kFnvOffsetBasis);
 }
 
 TEST(ScenarioFingerprintTest, SensitiveToBehaviourShapingFields) {
@@ -92,9 +130,9 @@ TEST(ScenarioFingerprintTest, InsensitiveToWallClockKnobs) {
 }
 
 TEST(ScenarioFingerprintTest, InertRobustnessLayerDoesNotSplitKeys) {
-  // An all-off adversary/hetero config is bit-inert, so it hashes like a
-  // scenario from before the robustness layer existed: toggling a knob that
-  // stays disabled (enabled() == false) must not change the key.
+  // An all-off adversary/hetero config is bit-inert, so it hashes like its
+  // defaults: toggling a knob of a layer that stays disabled
+  // (enabled() == false) must not change the key.
   const engine::ScenarioConfig base;
   engine::ScenarioConfig c = base;
   c.adversary.poison_scale = 99.0;  // ignored while byzantine_frac == 0
@@ -102,12 +140,11 @@ TEST(ScenarioFingerprintTest, InertRobustnessLayerDoesNotSplitKeys) {
 }
 
 TEST(ScenarioFingerprintTest, EmptyOptionsKeepLegacyKeys) {
-  // The options tail is conditional: no options (the pre-registry world)
-  // hashes byte-identically to the 2-arg overload, so every cached result on
-  // disk keeps its key across the registry migration.
+  // Options enter as name/value pairs only when present: an empty list
+  // hashes like no options at all.
   const engine::ScenarioConfig cfg;
   EXPECT_EQ(scenario_fingerprint(cfg, "LbChat", {}), scenario_fingerprint(cfg, "LbChat"));
-  EXPECT_EQ(scenario_fingerprint(cfg, "LbChat", {}), 0xB64685EC8CDC8984ull);
+  EXPECT_EQ(scenario_fingerprint(cfg, "LbChat", {}), 0xE08D9913EB871434ull);
 }
 
 TEST(ScenarioFingerprintTest, NonDefaultOptionsSplitKeys) {
@@ -122,11 +159,10 @@ TEST(ScenarioFingerprintTest, NonDefaultOptionsSplitKeys) {
 }
 
 TEST(ScenarioFingerprintTest, DisabledInt8EvalKeepsLegacyKeys) {
-  // Same conditional-tail contract as the robustness layer: the Int8EvalConfig
-  // member's existence must not move any historical key, and its sub-knobs
-  // are dead while enabled == false.
+  // Same contract as the robustness layer: a disabled Int8EvalConfig hashes
+  // like its defaults, so its sub-knobs are dead while enabled == false.
   const engine::ScenarioConfig base;
-  EXPECT_EQ(scenario_fingerprint(base, "LbChat"), 0xB64685EC8CDC8984ull);
+  EXPECT_EQ(scenario_fingerprint(base, "LbChat"), 0xE08D9913EB871434ull);
   engine::ScenarioConfig c = base;
   c.int8_eval.value_scoring = false;  // ignored while !enabled
   c.int8_eval.eval_loss = false;
@@ -162,6 +198,62 @@ TEST(ScenarioFingerprintTest, KernelPathDoesNotEnterScenarioFingerprint) {
     nn::ScopedKernelPath guard{p};
     EXPECT_EQ(scenario_fingerprint(cfg, "LbChat"), fp);
   }
+}
+
+TEST(ScenarioFingerprintTest, MetroSpecAndItsCountsOnlyTwinGetDistinctKeys) {
+  // Both specs ask for 64 vehicles at metro density, but only
+  // "num_vehicles" tiles the town and switches on snapshot mobility and
+  // parallel sessions, so they run different scenarios and must not share a
+  // cache entry.
+  svc::JobSpec counts;
+  svc::JobSpec metro;
+  std::string err;
+  ASSERT_TRUE(svc::parse_job_spec(R"({"vehicles":64,"background_cars":100,"pedestrians":240})",
+                                  counts, err))
+      << err;
+  ASSERT_TRUE(svc::parse_job_spec(R"({"num_vehicles":64})", metro, err)) << err;
+  EXPECT_NE(svc::job_fingerprint(counts), svc::job_fingerprint(metro));
+  EXPECT_NE(engine::config_fingerprint(counts.cfg), engine::config_fingerprint(metro.cfg));
+}
+
+TEST(FieldTableTest, RowNamesAreUnique) {
+  const std::vector<std::string> names = row_names();
+  EXPECT_GT(names.size(), 90u);
+  std::set<std::string> seen;
+  for (const std::string& name : names) EXPECT_TRUE(seen.insert(name).second) << name;
+}
+
+TEST(FieldTableTest, EveryRowSplitsBothFingerprints) {
+  const engine::ScenarioConfig base = live_scenario();
+  const std::uint64_t config_fp = engine::config_fingerprint(base);
+  const std::uint64_t scenario_fp = scenario_fingerprint(base, "LbChat");
+  const std::vector<std::string> names = row_names();
+  for (std::size_t row = 0; row < names.size(); ++row) {
+    engine::ScenarioConfig c = base;
+    std::size_t i = 0;
+    engine::for_each_field(c, base, [&](std::string_view, auto& v, const auto&) {
+      if (i++ == row) perturb(v);
+    });
+    EXPECT_NE(engine::config_fingerprint(c), config_fp) << names[row];
+    EXPECT_NE(scenario_fingerprint(c, "LbChat"), scenario_fp) << names[row];
+  }
+}
+
+TEST(FieldTableTest, WallClockKnobsSplitNeitherAndDurationOnlyTheScenarioKey) {
+  const engine::ScenarioConfig base = live_scenario();
+  const std::uint64_t config_fp = engine::config_fingerprint(base);
+  const std::uint64_t scenario_fp = scenario_fingerprint(base, "LbChat");
+
+  engine::ScenarioConfig c = base;
+  perturb(c.num_threads);
+  perturb(c.spatial_index);
+  EXPECT_EQ(engine::config_fingerprint(c), config_fp);
+  EXPECT_EQ(scenario_fingerprint(c, "LbChat"), scenario_fp);
+
+  c = base;
+  perturb(c.duration_s);
+  EXPECT_EQ(engine::config_fingerprint(c), config_fp);
+  EXPECT_NE(scenario_fingerprint(c, "LbChat"), scenario_fp);
 }
 
 }  // namespace

@@ -328,7 +328,7 @@ TEST(FleetServiceTest, SubmitRunsAndProducesPayload) {
 }
 
 TEST(FleetServiceTest, RegistryStrategyRunsThroughService) {
-  // A registry-only strategy (no Approach enum value) with non-default
+  // A strategy outside the paper's eight (DynThresh) with non-default
   // options must run end to end through the job server; the options split
   // the cache key from the default-configured run.
   const auto root = fresh_dir("dynthresh");
