@@ -1,24 +1,14 @@
 // lbchat_sim_cli: run any approach/configuration from the command line and
 // print the metrics the paper reports — loss curve, receiving rate, and
-// (optionally) driving success rates.
-//
-// Usage:
-//   lbchat_sim_cli [--strategy NAME] [--strategy-opt KEY=VALUE]...
-//                  [--list-strategies] [--vehicles N] [--duration S]
-//                  [--coreset N] [--seed N] [--no-wireless-loss] [--eval]
-//                  [--kernel auto|scalar|avx2|neon] [--int8-eval]
-//                  [--byzantine-frac F] [--straggler-frac F]
-//                  [--trace-out F] [--events-out F] [--metrics-out F]
-//                  [--report-out F] [--checkpoint-out F] [--resume-from F]
-//                  [--checkpoint-every S]
-//
-// Strategies come from the registry (see --list-strategies for names and
-// per-strategy options); --approach is a legacy alias of --strategy.
+// (optionally) driving success rates. Flags: see usage(). Every --some-key
+// VALUE is the job-spec key "some_key" (svc/job.h), set by the same
+// engine::FieldSetter.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/registry.h"
@@ -36,13 +26,9 @@ namespace {
 void usage() {
   std::fprintf(stderr,
                "usage: lbchat_sim_cli [--strategy NAME] [--strategy-opt KEY=VALUE]...\n"
-               "                      [--list-strategies]\n"
-               "                      [--vehicles N] [--duration S]\n"
-               "                      [--num-vehicles N] [--collect-duration S]\n"
-               "                      [--coreset N] [--seed N] [--threads N]\n"
-               "                      [--no-wireless-loss] [--eval]\n"
-               "                      [--kernel auto|scalar|avx2|neon] [--int8-eval]\n"
-               "                      [--byzantine-frac F] [--straggler-frac F]\n"
+               "                      [--list-strategies] [--eval] [--help]\n"
+               "                      [--kernel auto|scalar|avx2|neon]\n"
+               "                      [--KEY VALUE]... [--int8-eval] [--no-wireless-loss]\n"
                "                      [--trace-out FILE] [--events-out FILE]\n"
                "                      [--metrics-out FILE] [--report-out FILE]\n"
                "  --strategy NAME   registry name (--approach is a legacy alias)\n"
@@ -50,28 +36,24 @@ void usage() {
                "                    keys must exist in the strategy's schema)\n"
                "  --list-strategies print every registered strategy with its\n"
                "                    option schema, then exit\n"
-               "  --threads N       worker lanes for per-vehicle training/eval\n"
-               "                    (0 = all hardware threads, 1 = sequential;\n"
-               "                    results are bit-identical for any value)\n"
                "  --kernel NAME     GEMM backend: auto (default; best available),\n"
                "                    scalar (bit-reproduces committed goldens),\n"
                "                    avx2, neon; errors if NAME is unavailable on\n"
                "                    this build/CPU (LBCHAT_KERNEL is the env\n"
                "                    equivalent, with warn-and-fallback instead)\n"
-               "  --int8-eval       score coreset values and eval losses with the\n"
-               "                    int8-quantized forward path (training stays\n"
-               "                    fp32); changes run numerics + fingerprint\n"
-               "  --num-vehicles N  metro scaling: grow the fleet to N while the\n"
-               "                    town tiles to keep vehicle density constant,\n"
-               "                    and switch on the spatial index, snapshot\n"
-               "                    mobility, and parallel session ticks\n"
-               "                    (--vehicles changes the count on a fixed map)\n"
-               "  --collect-duration S  length of the data-collection phase\n"
-               "  --byzantine-frac F  seed F*N Byzantine vehicles (sign-flipped\n"
-               "                    models, inflated coreset weights, lying\n"
-               "                    assist info; frames stay CRC-valid)\n"
-               "  --straggler-frac F  heterogeneous fleet: F*N compute\n"
-               "                    stragglers, F*N slow radios, dataset skew\n"
+               "  --KEY VALUE       a job-spec scenario key, dashes for underscores;\n"
+               "                    VALUE is an exact literal (integers: no sign,\n"
+               "                    fraction or exponent). Short names: --vehicles N,\n"
+               "                    --duration S (defaults 8, 900), --seed N,\n"
+               "                    --collect-duration S, --coreset N, --threads N\n"
+               "                    (0 = all cores; bit-identical for any N),\n"
+               "                    --byzantine-frac F, --straggler-frac F,\n"
+               "                    --num-vehicles N (metro: tile the map to keep\n"
+               "                    density); any field-table row by dotted name:\n"
+               "                    --faults.burst-rate-per-min 2 (engine/scenario.h)\n"
+               "  --int8-eval       int8-quantized coreset scoring and eval losses\n"
+               "  --no-wireless-loss  lossless links (the paper's case (a))\n"
+               "  --eval            also report driving success rates\n"
                "  --trace-out F     Chrome trace-event JSON (open in Perfetto);\n"
                "                    enables sim-event + wall-clock span tracing\n"
                "  --events-out F    sim-time event log, one JSON object per line\n"
@@ -92,11 +74,6 @@ bool write_file(const std::string& path, const std::string& content) {
   const bool ok = std::fwrite(content.data(), 1, content.size(), f) == content.size();
   std::fclose(f);
   return ok;
-}
-
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
 bool read_file(const std::string& path, std::vector<std::uint8_t>& out) {
@@ -131,15 +108,15 @@ int main(int argc, char** argv) {
   engine::ScenarioConfig cfg;
   cfg.num_vehicles = 8;
   cfg.duration_s = 900.0;
+  engine::FieldSetter setter{cfg};
+  std::string error;
   bool run_eval = false;
-  std::string trace_out;
-  std::string events_out;
-  std::string metrics_out;
-  std::string report_out;
-  std::string checkpoint_out;
-  std::string resume_from;
+  std::string trace_out, events_out, metrics_out, report_out, checkpoint_out, resume_from;
+  const std::pair<std::string_view, std::string*> path_flags[] = {
+      {"--trace-out", &trace_out},           {"--events-out", &events_out},
+      {"--metrics-out", &metrics_out},       {"--report-out", &report_out},
+      {"--checkpoint-out", &checkpoint_out}, {"--resume-from", &resume_from}};
   double checkpoint_every = 0.0;
-  int metro_vehicles = 0;
 
   for (int i = 1; i < argc; ++i) {
     const auto need_value = [&](const char* flag) -> const char* {
@@ -150,17 +127,27 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (std::strcmp(argv[i], "--strategy") == 0 || std::strcmp(argv[i], "--approach") == 0) {
+    const std::string flag = argv[i];
+    const auto path_flag = std::find_if(std::begin(path_flags), std::end(path_flags),
+                                        [&](const auto& f) { return f.first == flag; });
+    if (path_flag != std::end(path_flags)) {
+      *path_flag->second = need_value(argv[i]);
+    } else if (flag == "--strategy" || flag == "--approach") {
       approach_name = need_value(argv[i]);
-    } else if (std::strcmp(argv[i], "--strategy-opt") == 0) {
+    } else if (flag == "--strategy-opt") {
       const std::string kv = need_value("--strategy-opt");
       const std::size_t eq = kv.find('=');
-      if (eq == 0 || eq == std::string::npos) {
-        std::fprintf(stderr, "--strategy-opt expects KEY=VALUE, got '%s'\n", kv.c_str());
+      double value = 0.0;
+      if (eq == 0 || eq == std::string::npos ||
+          !engine::parse_finite(std::string_view{kv}.substr(eq + 1), value)) {
+        std::fprintf(stderr, "--strategy-opt expects KEY=NUMBER, got '%s'\n", kv.c_str());
         return 2;
       }
-      strategy_opts.set(kv.substr(0, eq), std::atof(kv.c_str() + eq + 1));
-    } else if (std::strcmp(argv[i], "--list-strategies") == 0) {
+      strategy_opts.set(kv.substr(0, eq), value);
+    } else if (flag == "--help") {
+      usage();
+      return 0;
+    } else if (flag == "--list-strategies") {
       for (const std::string& name : baselines::registry().list()) {
         std::printf("%s\n", name.c_str());
         for (const auto& opt : baselines::registry().option_schema(name)) {
@@ -169,25 +156,7 @@ int main(int argc, char** argv) {
         }
       }
       return 0;
-    } else if (std::strcmp(argv[i], "--vehicles") == 0) {
-      cfg.num_vehicles = std::atoi(need_value("--vehicles"));
-    } else if (std::strcmp(argv[i], "--num-vehicles") == 0) {
-      metro_vehicles = std::atoi(need_value("--num-vehicles"));
-    } else if (std::strcmp(argv[i], "--duration") == 0) {
-      cfg.duration_s = std::atof(need_value("--duration"));
-    } else if (std::strcmp(argv[i], "--collect-duration") == 0) {
-      cfg.collect_duration_s = std::atof(need_value("--collect-duration"));
-    } else if (std::strcmp(argv[i], "--coreset") == 0) {
-      cfg.coreset_size = static_cast<std::size_t>(std::atoi(need_value("--coreset")));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(need_value("--seed")));
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      cfg.num_threads = std::atoi(need_value("--threads"));
-    } else if (std::strcmp(argv[i], "--byzantine-frac") == 0) {
-      cfg.adversary.byzantine_frac = std::atof(need_value("--byzantine-frac"));
-    } else if (std::strcmp(argv[i], "--straggler-frac") == 0) {
-      engine::apply_straggler_profile(cfg, std::atof(need_value("--straggler-frac")));
-    } else if (std::strcmp(argv[i], "--kernel") == 0) {
+    } else if (flag == "--kernel") {
       const std::string name = need_value("--kernel");
       if (name != "auto") {
         const auto parsed = nn::parse_kernel_path(name);
@@ -201,28 +170,27 @@ int main(int argc, char** argv) {
         }
         nn::set_kernel_path(*parsed);
       }
-    } else if (std::strcmp(argv[i], "--int8-eval") == 0) {
+    } else if (flag == "--int8-eval") {
       cfg.int8_eval.enabled = true;
-    } else if (std::strcmp(argv[i], "--no-wireless-loss") == 0) {
+    } else if (flag == "--no-wireless-loss") {
       cfg.wireless_loss = false;
-    } else if (std::strcmp(argv[i], "--eval") == 0) {
+    } else if (flag == "--eval") {
       run_eval = true;
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      trace_out = need_value("--trace-out");
-    } else if (std::strcmp(argv[i], "--events-out") == 0) {
-      events_out = need_value("--events-out");
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      metrics_out = need_value("--metrics-out");
-    } else if (std::strcmp(argv[i], "--report-out") == 0) {
-      report_out = need_value("--report-out");
-    } else if (std::strcmp(argv[i], "--checkpoint-out") == 0) {
-      checkpoint_out = need_value("--checkpoint-out");
-    } else if (std::strcmp(argv[i], "--resume-from") == 0) {
-      resume_from = need_value("--resume-from");
-    } else if (std::strcmp(argv[i], "--checkpoint-every") == 0) {
-      checkpoint_every = std::atof(need_value("--checkpoint-every"));
+    } else if (flag == "--checkpoint-every") {
+      if (!engine::parse_finite(need_value("--checkpoint-every"), checkpoint_every)) {
+        std::fprintf(stderr, "--checkpoint-every expects a number of sim seconds\n");
+        return 2;
+      }
+    } else if (flag.size() > 2 && flag.starts_with("--")) {
+      std::string key = flag.substr(2);
+      std::replace(key.begin(), key.end(), '-', '_');
+      if (!setter.set(key, need_value(argv[i]), error)) {
+        std::fprintf(stderr, "%s: %s\n", flag.c_str(), error.c_str());
+        usage();
+        return 2;
+      }
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       usage();
       return 2;
     }
@@ -236,15 +204,8 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  // Metro scaling last, so it composes with --vehicles (which then sets the
-  // base the town tiles up from) regardless of flag order.
-  if (metro_vehicles > 0) engine::apply_metro_scale(cfg, metro_vehicles);
-  if (cfg.num_vehicles < 2 || cfg.duration_s <= 0.0) {
-    std::fprintf(stderr, "need at least 2 vehicles and a positive duration\n");
-    return 2;
-  }
-  if (cfg.num_threads < 0) {
-    std::fprintf(stderr, "--threads must be >= 0\n");
+  if (!setter.finish(error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
 
@@ -314,7 +275,7 @@ int main(int argc, char** argv) {
     }
     if (!report_out.empty()) {
       const obs::RunReport report = engine::build_run_report(approach_name, cfg, m);
-      const std::string body = ends_with(report_out, ".csv")
+      const std::string body = report_out.ends_with(".csv")
                                    ? obs::run_report_csv(report)
                                    : obs::run_report_json(report);
       if (!write_file(report_out, body)) ++export_failures;

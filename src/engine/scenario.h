@@ -2,9 +2,12 @@
 #pragma once
 
 #include <algorithm>
+#include <bitset>
 #include <cmath>
 #include <concepts>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <type_traits>
 
@@ -244,7 +247,7 @@ void for_each_field(Config& cfg, const ScenarioConfig& defaults, Visit&& visit) 
 /// urban grid and rural ring all scale with the tile factor, background
 /// traffic with the count ratio — and the scaling machinery (spatial index,
 /// snapshot-parallel mobility, parallel session ticks) is switched on.
-/// Exposed to the CLI as --num-vehicles.
+/// Exposed to job specs and the CLI as the derived key "num_vehicles".
 inline void apply_metro_scale(ScenarioConfig& cfg, int num_vehicles) {
   const double f =
       static_cast<double>(std::max(num_vehicles, 1)) / std::max(cfg.num_vehicles, 1);
@@ -263,14 +266,49 @@ inline void apply_metro_scale(ScenarioConfig& cfg, int num_vehicles) {
   cfg.world.snapshot_mobility = true;
 }
 
-/// One-knob fleet heterogeneity: a fraction `frac` of the vehicles are
-/// compute stragglers and (independently drawn) `frac` have slow radios, and
-/// any nonzero `frac` also skews dataset sizes by 0.5. Exposed to the CLI as
-/// --straggler-frac and to job specs as "straggler_frac".
-inline void apply_straggler_profile(ScenarioConfig& cfg, double frac) {
-  cfg.hetero.straggler_frac = frac;
-  cfg.hetero.slow_radio_frac = frac;
-  cfg.hetero.dataset_skew = frac > 0.0 ? 0.5 : 0.0;
-}
+/// Strict conversions shared by the config surfaces: all of `text` must be
+/// one std::from_chars literal — a finite decimal number, or a (signed)
+/// integer in range; `out` is untouched if not.
+[[nodiscard]] bool parse_finite(std::string_view text, double& out);
+[[nodiscard]] bool parse_int(std::string_view text, int& out);
+
+/// Sets ScenarioConfig fields by name from text: the one resolver behind
+/// the job-spec keys (svc/job.h) and the lbchat_sim_cli flags. A key is a
+/// dotted for_each_field row ("faults.burst_rate_per_min"), duration_s,
+/// num_threads, or a short alias ("vehicles", "duration", "coreset", ...).
+/// Two aliases are derived: "num_vehicles" is apply_metro_scale, deferred to
+/// finish() so it tiles up from "vehicles" in any order (it shadows the raw
+/// count row, set as "vehicles"), and "straggler_frac" makes that fraction
+/// of the fleet compute stragglers and (independently) slow radios and skews
+/// dataset sizes. The text must be one literal of the field's type:
+/// true/false, a non-negative decimal integer in range, or a finite number.
+/// Each field may be set once: an alias and its row, or "straggler_frac"
+/// and a hetero field it sets, in one spec are an error.
+class FieldSetter {
+ public:
+  explicit FieldSetter(ScenarioConfig& cfg) : cfg_{cfg} {}
+
+  /// False with `error` filled (config untouched) on a bad key or value, or
+  /// a field already set.
+  [[nodiscard]] bool set(std::string_view key, std::string_view text, std::string& error);
+  /// Apply a deferred metro scale, then validate().
+  [[nodiscard]] bool finish(std::string& error);
+  /// Whether `prefix` is a dotted group of rows ("faults", "world.town"),
+  /// whose members a nested spec object may set.
+  [[nodiscard]] static bool is_group(std::string_view prefix);
+
+ private:
+  ScenarioConfig& cfg_;
+  std::optional<int> metro_vehicles_;
+  std::bitset<sizeof(ScenarioConfig) + 1> written_;  ///< by byte offset
+};
+
+/// The range checks of every config surface, on a finished config: >= 2
+/// vehicles, finite positive durations, tick, collect rate and radio
+/// bandwidth, at most 1e8 ticks and 1e6 collected frames per vehicle,
+/// nonzero coreset, packet and wire sizes, BEV frames of at most 65536
+/// cells, policy layer widths in [1, 1024] and num_threads in [0, 1024].
+/// The other rows take any value of their type. False with `error` filled.
+[[nodiscard]] bool validate(const ScenarioConfig& cfg, std::string& error);
 
 }  // namespace lbchat::engine

@@ -1,7 +1,6 @@
 #include "svc/job.h"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "common/fingerprint.h"
@@ -11,82 +10,28 @@
 namespace lbchat::svc {
 namespace {
 
-// Spec parsing accumulates into this context so every helper can fail with a
-// key-specific message without exceptions.
-struct ParseCtx {
-  std::string& error;
-  bool ok = true;
+std::string_view source_of(std::string_view text, const JsonValue& v) {
+  return text.substr(v.source_begin(), v.source_end() - v.source_begin());
+}
 
-  void fail(const std::string& what) {
-    if (ok) error = what;
-    ok = false;
-  }
-};
-
-bool want_number(ParseCtx& ctx, const std::string& key, const JsonValue& v, double& out) {
-  if (!v.is_number()) {
-    ctx.fail("\"" + key + "\" must be a number");
+/// Hands a scenario member to the field setter: a leaf as its exact source
+/// bytes under its (dotted) key, an object member by member under "key.".
+bool set_scenario(engine::FieldSetter& setter, std::string_view text, const std::string& key,
+                  const JsonValue& v, std::string& error) {
+  if (!v.is_object()) return setter.set(key, source_of(text, v), error);
+  if (!engine::FieldSetter::is_group(key)) {
+    error = "\"" + key + "\" is not a group of scenario fields";
     return false;
   }
-  out = v.as_number();
+  for (const auto& [member, value] : v.members()) {
+    if (!set_scenario(setter, text, key + "." + member, *value, error)) return false;
+  }
   return true;
 }
 
-bool want_int(ParseCtx& ctx, const std::string& key, const JsonValue& v, int& out) {
-  double d = 0.0;
-  if (!want_number(ctx, key, v, d)) return false;
-  if (d != std::floor(d) || d < -2147483648.0 || d > 2147483647.0) {
-    ctx.fail("\"" + key + "\" must be an integer");
-    return false;
-  }
-  out = static_cast<int>(d);
-  return true;
-}
-
-bool want_bool(ParseCtx& ctx, const std::string& key, const JsonValue& v, bool& out) {
-  if (!v.is_bool()) {
-    ctx.fail("\"" + key + "\" must be a boolean");
-    return false;
-  }
-  out = v.as_bool();
-  return true;
-}
-
-void apply_faults(ParseCtx& ctx, const JsonValue& obj, engine::FaultConfig& f) {
-  if (!obj.is_object()) {
-    ctx.fail("\"faults\" must be an object");
-    return;
-  }
-  for (const auto& [key, value] : obj.members()) {
-    const JsonValue& v = *value;
-    if (key == "burst_rate_per_min") {
-      want_number(ctx, key, v, f.burst_rate_per_min);
-    } else if (key == "burst_duration_s") {
-      want_number(ctx, key, v, f.burst_duration_s);
-    } else if (key == "burst_radius_m") {
-      want_number(ctx, key, v, f.burst_radius_m);
-    } else if (key == "burst_extra_loss") {
-      want_number(ctx, key, v, f.burst_extra_loss);
-    } else if (key == "churn_rate_per_min") {
-      want_number(ctx, key, v, f.churn_rate_per_min);
-    } else if (key == "churn_offline_mean_s") {
-      want_number(ctx, key, v, f.churn_offline_mean_s);
-    } else if (key == "corrupt_prob_near") {
-      want_number(ctx, key, v, f.corrupt_prob_near);
-    } else if (key == "corrupt_prob_far") {
-      want_number(ctx, key, v, f.corrupt_prob_far);
-    } else if (key == "chat_backoff") {
-      want_bool(ctx, key, v, f.chat_backoff);
-    } else if (key == "backoff_base") {
-      want_number(ctx, key, v, f.backoff_base);
-    } else if (key == "backoff_max_exp") {
-      want_int(ctx, key, v, f.backoff_max_exp);
-    } else {
-      ctx.fail("unknown faults key \"" + key + "\"");
-    }
-    if (!ctx.ok) return;
-  }
-}
+/// A JSON number that did not overflow to infinity (the grammar already
+/// refuses nan and trailing text).
+bool finite(const JsonValue& v) { return v.is_number() && std::isfinite(v.as_number()); }
 
 }  // namespace
 
@@ -105,121 +50,42 @@ bool parse_job_spec(std::string_view text, JobSpec& out, std::string& error) {
     return false;
   }
 
-  ParseCtx ctx{error};
-  engine::ScenarioConfig& cfg = out.cfg;
-  int metro_vehicles = 0;
-  int v_int = 0;
-  double v_num = 0.0;
-
+  // Service keys are read here; every other member is a scenario key.
+  engine::FieldSetter setter{out.cfg};
   for (const auto& [key, value] : root->members()) {
     const JsonValue& v = *value;
-    if (key == "strategy" || key == "approach") {
-      // "approach" is the pre-registry spelling; both name the registry key.
-      if (!v.is_string()) {
-        ctx.fail("\"" + key + "\" must be a string");
-      } else {
-        out.approach_name = v.as_string();
-      }
+    bool ok = true;
+    if (key == "strategy" || key == "approach" || key == "name") {
+      ok = v.is_string();
+      (key == "name" ? out.name : out.approach_name) = v.as_string();
+      if (!ok) error = "\"" + key + "\" must be a string";
     } else if (key == "strategy_options") {
       if (!v.is_object()) {
-        ctx.fail("\"strategy_options\" must be an object");
-      } else {
-        for (const auto& [opt_key, opt_value] : v.members()) {
-          double opt_num = 0.0;
-          if (!want_number(ctx, "strategy_options." + opt_key, *opt_value, opt_num)) break;
-          out.options.set(opt_key, opt_num);
-        }
+        error = "\"strategy_options\" must be an object";
+        return false;
       }
-    } else if (key == "name") {
-      if (!v.is_string()) {
-        ctx.fail("\"name\" must be a string");
-      } else {
-        out.name = v.as_string();
+      for (const auto& [opt_key, opt_value] : v.members()) {
+        if (!finite(*opt_value)) {
+          error = "\"strategy_options." + opt_key + "\" must be a finite number";
+          return false;
+        }
+        out.options.set(opt_key, opt_value->as_number());
       }
     } else if (key == "priority") {
-      want_int(ctx, key, v, out.priority);
+      ok = engine::parse_int(source_of(text, v), out.priority);
+      if (!ok) error = "\"priority\" must be an integer";
     } else if (key == "events") {
-      want_bool(ctx, key, v, out.events);
+      ok = v.is_bool();
+      out.events = ok && v.as_bool();
+      if (!ok) error = "\"events\" must be a boolean";
     } else if (key == "preempt_at") {
-      want_number(ctx, key, v, out.preempt_at);
-    } else if (key == "vehicles") {
-      if (want_int(ctx, key, v, v_int)) cfg.num_vehicles = v_int;
-    } else if (key == "num_vehicles") {
-      want_int(ctx, key, v, metro_vehicles);
-    } else if (key == "duration") {
-      want_number(ctx, key, v, cfg.duration_s);
-    } else if (key == "collect_duration") {
-      want_number(ctx, key, v, cfg.collect_duration_s);
-    } else if (key == "collect_fps") {
-      want_number(ctx, key, v, cfg.collect_fps);
-    } else if (key == "coreset") {
-      if (want_int(ctx, key, v, v_int)) {
-        if (v_int < 1) {
-          ctx.fail("\"coreset\" must be >= 1");
-        } else {
-          cfg.coreset_size = static_cast<std::size_t>(v_int);
-        }
-      }
-    } else if (key == "seed") {
-      if (want_number(ctx, key, v, v_num)) {
-        if (v_num < 0.0) {
-          ctx.fail("\"seed\" must be >= 0");
-        } else {
-          cfg.seed = static_cast<std::uint64_t>(v_num);
-        }
-      }
-    } else if (key == "threads") {
-      want_int(ctx, key, v, cfg.num_threads);
-    } else if (key == "wireless_loss") {
-      want_bool(ctx, key, v, cfg.wireless_loss);
-    } else if (key == "eval_interval") {
-      want_number(ctx, key, v, cfg.eval_interval_s);
-    } else if (key == "train_interval") {
-      want_number(ctx, key, v, cfg.train_interval_s);
-    } else if (key == "batch_size") {
-      want_int(ctx, key, v, cfg.batch_size);
-    } else if (key == "learning_rate") {
-      want_number(ctx, key, v, cfg.learning_rate);
-    } else if (key == "time_budget") {
-      want_number(ctx, key, v, cfg.time_budget_s);
-    } else if (key == "pair_cooldown") {
-      want_number(ctx, key, v, cfg.pair_cooldown_s);
-    } else if (key == "session_timeout") {
-      want_number(ctx, key, v, cfg.session_timeout_s);
-    } else if (key == "byzantine_frac") {
-      want_number(ctx, key, v, cfg.adversary.byzantine_frac);
-    } else if (key == "straggler_frac") {
-      if (want_number(ctx, key, v, v_num)) engine::apply_straggler_profile(cfg, v_num);
-    } else if (key == "background_cars") {
-      want_int(ctx, key, v, cfg.world.num_background_cars);
-    } else if (key == "pedestrians") {
-      want_int(ctx, key, v, cfg.world.num_pedestrians);
-    } else if (key == "eval_frames") {
-      want_int(ctx, key, v, cfg.eval_frames_per_vehicle);
-    } else if (key == "radio_range") {
-      want_number(ctx, key, v, cfg.radio.max_range_m);
-    } else if (key == "model_bytes") {
-      if (want_number(ctx, key, v, v_num)) {
-        if (v_num < 1.0) {
-          ctx.fail("\"model_bytes\" must be >= 1");
-        } else {
-          cfg.wire.model_bytes = static_cast<std::size_t>(v_num);
-        }
-      }
-    } else if (key == "coreset_bytes_per_sample") {
-      if (want_number(ctx, key, v, v_num)) {
-        if (v_num < 1.0) {
-          ctx.fail("\"coreset_bytes_per_sample\" must be >= 1");
-        } else {
-          cfg.wire.coreset_bytes_per_sample = static_cast<std::size_t>(v_num);
-        }
-      }
-    } else if (key == "faults") {
-      apply_faults(ctx, v, cfg.faults);
+      ok = finite(v);
+      if (ok) out.preempt_at = v.as_number();
+      if (!ok) error = "\"preempt_at\" must be a finite number";
     } else {
-      ctx.fail("unknown key \"" + key + "\"");
+      ok = set_scenario(setter, text, key, v, error);
     }
-    if (!ctx.ok) return false;
+    if (!ok) return false;
   }
 
   if (!baselines::registry().contains(out.approach_name)) {
@@ -234,22 +100,7 @@ bool parse_job_spec(std::string_view text, JobSpec& out, std::string& error) {
     error = e.what();
     return false;
   }
-  // Metro scaling last, so it composes with "vehicles" regardless of member
-  // order — same rule as the CLI.
-  if (metro_vehicles > 0) engine::apply_metro_scale(cfg, metro_vehicles);
-  if (cfg.num_vehicles < 2) {
-    error = "need at least 2 vehicles";
-    return false;
-  }
-  if (cfg.duration_s <= 0.0) {
-    error = "\"duration\" must be > 0";
-    return false;
-  }
-  if (cfg.num_threads < 0) {
-    error = "\"threads\" must be >= 0";
-    return false;
-  }
-  return true;
+  return setter.finish(error);
 }
 
 std::uint64_t job_fingerprint(const JobSpec& spec) {

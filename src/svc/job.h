@@ -1,17 +1,22 @@
 // Job specs for the fleet service: a JSON object naming a strategy and a
-// scenario configuration, mirroring the lbchat_sim_cli flag surface.
+// scenario configuration.
 //
 //   {"strategy":"DynThresh","vehicles":8,"duration":900,"seed":3,
 //    "strategy_options":{"divergence_bound":2e-4},
 //    "priority":1,"events":true,
 //    "faults":{"burst_rate_per_min":0.5,"chat_backoff":true}}
 //
-// "approach" is accepted as a legacy alias of "strategy" (pre-registry specs
-// persist in state directories and CI). Unknown keys, unknown strategy
-// names, and option keys absent from the strategy's registry schema are hard
-// parse errors (a typo'd knob must not silently run the default).
-// parse_job_spec keeps the original spec text so a persisted job round-trips
-// byte-identically through the state directory.
+// Service keys: "strategy" (or its legacy alias "approach"),
+// "strategy_options", "name", "priority", "events", "preempt_at". Every
+// other member is a scenario key for engine::FieldSetter (engine/scenario.h),
+// as the lbchat_sim_cli flags are: a dotted field-table row, a short alias,
+// or an object of keys under a group's name ("faults":{...}), each leaf
+// passed as its exact source bytes. Unknown keys, wrong types, out-of-range
+// values, a field set twice (an alias and its row), unknown strategies and
+// option keys outside the strategy's registry schema are hard parse errors
+// (a typo'd knob must not silently run the default).
+// parse_job_spec keeps the original spec text so a persisted job
+// round-trips byte-identically through the state directory.
 #pragma once
 
 #include <cstdint>

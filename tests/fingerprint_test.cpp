@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -44,6 +45,26 @@ std::vector<std::string> row_names() {
     names.emplace_back(name);
   });
   return names;
+}
+
+/// `v` as the literal both the field setter and a job spec take.
+template <class T>
+std::string literal(const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return v ? "true" : "false";
+  } else {
+    char buf[64];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+    EXPECT_EQ(ec, std::errc{});
+    return std::string(buf, end);
+  }
+}
+
+/// `"a.b.c":text` as the nested member `"a":{"b":{"c":text}}`.
+std::string nested_member(const std::string& dotted, const std::string& text) {
+  const std::size_t dot = dotted.find('.');
+  if (dot == std::string::npos) return "\"" + dotted + "\":" + text;
+  return "\"" + dotted.substr(0, dot) + "\":{" + nested_member(dotted.substr(dot + 1), text) + "}";
 }
 
 /// Move a field off its current value: flip a bool, add one to a number.
@@ -216,6 +237,56 @@ TEST(ScenarioFingerprintTest, MetroSpecAndItsCountsOnlyTwinGetDistinctKeys) {
   EXPECT_NE(engine::config_fingerprint(counts.cfg), engine::config_fingerprint(metro.cfg));
 }
 
+TEST(ScenarioFingerprintTest, CommittedSpecTextsKeepTheirJobFingerprints) {
+  // The spec texts the repo itself sends — svc_test's tiny_spec(), the
+  // README's byz25 job, CI's spec_a/spec_b and two jobs of perfbench's
+  // service_mix template (seed 1) — with the job fingerprints recorded from
+  // the per-key parser the field setter replaced. Scalar path, where the
+  // kernel salt is the identity.
+  const nn::ScopedKernelPath scalar{nn::KernelPath::kScalar};
+  const std::pair<std::string_view, std::uint64_t> pins[] = {
+      {R"({"approach":"LbChat","name":"tiny","vehicles":4,)"
+       R"("duration":40,"collect_duration":20,"collect_fps":1,)"
+       R"("eval_frames":2,"background_cars":4,"pedestrians":6,)"
+       R"("eval_interval":10,"train_interval":2,"batch_size":4,)"
+       R"("coreset":12,"time_budget":8,"pair_cooldown":5,)"
+       R"("radio_range":400,"model_bytes":4194304,)"
+       R"("byzantine_frac":0.25,"straggler_frac":0.25,)"
+       R"("faults":{"burst_rate_per_min":2.0,"burst_extra_loss":1.0,)"
+       R"("churn_rate_per_min":0.5,"corrupt_prob_near":0.05,)"
+       R"("corrupt_prob_far":0.2,"chat_backoff":true},"seed":7})",
+       0x0FC942275FE4D2DFull},
+      {R"({"approach": "LbChat", "name": "byz25", "vehicles": 8,
+ "duration": 900, "seed": 5, "byzantine_frac": 0.25,
+ "faults": {"burst_rate_per_min": 2.0, "chat_backoff": true}})",
+       0x16CC41585ACB6B61ull},
+      {R"({"approach": "LbChat", "name": "smoke", "vehicles": 4,
+ "duration": 60, "collect_duration": 20, "seed": 5,
+ "byzantine_frac": 0.25, "straggler_frac": 0.25,
+ "faults": {"burst_rate_per_min": 2.0, "churn_rate_per_min": 0.5,
+            "corrupt_prob_near": 0.05, "chat_backoff": true}})",
+       0x7F08FF45B67BDBF8ull},
+      {R"({"approach": "LbChat", "name": "smoke", "vehicles": 4,
+ "duration": 60, "collect_duration": 20, "seed": 6,
+ "byzantine_frac": 0.25, "straggler_frac": 0.25,
+ "faults": {"burst_rate_per_min": 2.0, "churn_rate_per_min": 0.5,
+            "corrupt_prob_near": 0.05, "chat_backoff": true}})",
+       0xCA7B4FCE145D42A1ull},
+      {R"({"strategy":"LbChat","vehicles":8,"duration":360,"collect_duration":300,)"
+       R"("seed":1000,"events":true,"preempt_at":0})",
+       0xD1B1A81A4103A163ull},
+      {R"({"strategy":"DP","vehicles":8,"duration":360,"collect_duration":300,)"
+       R"("seed":1001,"events":false,"preempt_at":180})",
+       0x1B5CE5D44AC4866Eull},
+  };
+  for (const auto& [text, pin] : pins) {
+    svc::JobSpec spec;
+    std::string err;
+    ASSERT_TRUE(svc::parse_job_spec(text, spec, err)) << err;
+    EXPECT_EQ(svc::job_fingerprint(spec), pin) << text;
+  }
+}
+
 TEST(FieldTableTest, RowNamesAreUnique) {
   const std::vector<std::string> names = row_names();
   EXPECT_GT(names.size(), 90u);
@@ -236,6 +307,51 @@ TEST(FieldTableTest, EveryRowSplitsBothFingerprints) {
     });
     EXPECT_NE(engine::config_fingerprint(c), config_fp) << names[row];
     EXPECT_NE(scenario_fingerprint(c, "LbChat"), scenario_fp) << names[row];
+  }
+}
+
+TEST(FieldTableTest, EveryRowIsSettableByNameDirectlyAndThroughASpec) {
+  // For each row, the perturbed value of EveryRowSplitsBothFingerprints set
+  // by name through the field setter (the CLI route), and through a job spec
+  // as a flat dotted key and as a nested object, must give the config the
+  // direct assignment gives.
+  const engine::ScenarioConfig base = live_scenario();
+  // The spec members that make a default config live_scenario().
+  const std::vector<std::pair<std::string, std::string>> live_members{
+      {"adversary.byzantine_frac", "0.25"},
+      {"hetero.straggler_frac", "0.25"},
+      {"int8_eval.enabled", "true"}};
+  const std::vector<std::string> names = row_names();
+  for (std::size_t row = 0; row < names.size(); ++row) {
+    engine::ScenarioConfig direct = base;
+    std::string text;
+    std::size_t i = 0;
+    engine::for_each_field(direct, base, [&](std::string_view, auto& v, const auto&) {
+      if (i++ != row) return;
+      perturb(v);
+      text = literal(v);
+    });
+    const std::uint64_t want = engine::config_fingerprint(direct);
+    // "num_vehicles" is the metro-scaling key; the raw count row is set as
+    // "vehicles".
+    const std::string key = names[row] == "num_vehicles" ? "vehicles" : names[row];
+
+    engine::ScenarioConfig set = base;
+    engine::FieldSetter setter{set};
+    std::string err;
+    ASSERT_TRUE(setter.set(key, text, err)) << err;
+    EXPECT_EQ(engine::config_fingerprint(set), want) << key;
+
+    std::string members;
+    for (const auto& [member, value] : live_members) {
+      if (member != names[row]) members += "\"" + member + "\":" + value + ",";
+    }
+    for (const std::string& spec_text : {"{" + members + "\"" + key + "\":" + text + "}",
+                                         "{" + members + nested_member(key, text) + "}"}) {
+      svc::JobSpec spec;
+      ASSERT_TRUE(svc::parse_job_spec(spec_text, spec, err)) << spec_text << ": " << err;
+      EXPECT_EQ(engine::config_fingerprint(spec.cfg), want) << spec_text;
+    }
   }
 }
 

@@ -163,6 +163,8 @@ TEST(JobSpecTest, ParsesFullSpec) {
   EXPECT_DOUBLE_EQ(spec.cfg.faults.burst_rate_per_min, 2.0);
   EXPECT_TRUE(spec.cfg.faults.chat_backoff);
   EXPECT_EQ(spec.source, tiny_spec(7, R"("priority":3,"events":true)"));
+  ASSERT_TRUE(parse_job_spec(R"({"priority":-3})", spec, err)) << err;
+  EXPECT_EQ(spec.priority, -3);
 }
 
 TEST(JobSpecTest, RejectsUnknownAndInvalid) {
@@ -175,8 +177,66 @@ TEST(JobSpecTest, RejectsUnknownAndInvalid) {
   EXPECT_FALSE(parse_job_spec(R"({"duration":0})", spec, err));
   EXPECT_FALSE(parse_job_spec(R"({"approach":"NoSuch"})", spec, err));
   EXPECT_FALSE(parse_job_spec(R"({"faults":{"burst_rate":1}})", spec, err));
+  EXPECT_NE(err.find("faults.burst_rate"), std::string::npos) << err;
+  EXPECT_FALSE(parse_job_spec(R"({"faults.burst_rate":1})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"world.town.no_such_knob":1})", spec, err));
   EXPECT_FALSE(parse_job_spec(R"([1,2])", spec, err));
   EXPECT_FALSE(parse_job_spec("not json", spec, err));
+  // A numeric row takes a JSON number, never a string of one.
+  EXPECT_FALSE(parse_job_spec(R"({"vehicles":"4"})", spec, err));
+  // Integer rows take integer literals that fit; the former double path cast
+  // these to unsigned integers (undefined behaviour for 1e30).
+  EXPECT_FALSE(parse_job_spec(R"({"seed":1e30})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"seed":-1})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"model_bytes":1e30})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"coreset_bytes_per_sample":1e30})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"vehicles":4.0})", spec, err));
+  // 1e400 overflows a double: an infinite horizon would pin a worker.
+  EXPECT_FALSE(parse_job_spec(R"({"duration":1e400})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"strategy_options":{"eval_cap":1e400}})", spec, err));
+  // Out of validate()'s range: parsed, never run.
+  EXPECT_FALSE(parse_job_spec(R"({"threads":2000000000})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"coreset":0})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"collect_duration":-5})", spec, err));
+  // A zero, negative or tiny tick, or a horizon too far for the tick, would
+  // never end the run loop.
+  EXPECT_FALSE(parse_job_spec(R"({"tick_s":0})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"tick_s":-0.5})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"tick_s":1e-300})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"duration":1e300})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"collect_fps":0})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"collect_duration":1e300})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"radio":{"bandwidth_bps":0}})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"radio.packet_bytes":0})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"world.bev.height":2000000000})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"policy":{"bev":{"channels":0}}})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"policy.fc_dim":2000000000})", spec, err));
+  // An object must name a group of rows, even when empty.
+  EXPECT_FALSE(parse_job_spec(R"({"bogus":{}})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"vehicles":{}})", spec, err));
+  EXPECT_TRUE(parse_job_spec(R"({"faults":{}})", spec, err)) << err;
+  // Each field is set once: an alias and its row, or straggler_frac and a
+  // hetero field it derives, would leave member order to decide.
+  EXPECT_FALSE(parse_job_spec(R"({"duration":10,"duration_s":20})", spec, err));
+  EXPECT_NE(err.find("already set"), std::string::npos) << err;
+  EXPECT_FALSE(parse_job_spec(R"({"straggler_frac":0.25,"hetero.straggler_frac":0.1})", spec,
+                              err));
+  EXPECT_FALSE(parse_job_spec(R"({"hetero":{"dataset_skew":0.1},"straggler_frac":0.25})", spec,
+                              err));
+  EXPECT_FALSE(parse_job_spec(R"({"priority":1.5})", spec, err));
+}
+
+TEST(JobSpecTest, SeedsAboveTwoToThe53ParseExactly) {
+  // Integer rows are read from the value's source bytes, not through a
+  // double, so adjacent 64-bit seeds stay distinct jobs.
+  JobSpec odd;
+  JobSpec even;
+  std::string err;
+  ASSERT_TRUE(parse_job_spec(R"({"seed":9007199254740993})", odd, err)) << err;
+  ASSERT_TRUE(parse_job_spec(R"({"seed":9007199254740992})", even, err)) << err;
+  EXPECT_EQ(odd.cfg.seed, 9007199254740993ull);
+  EXPECT_EQ(even.cfg.seed, 9007199254740992ull);
+  EXPECT_NE(job_fingerprint(odd), job_fingerprint(even));
 }
 
 TEST(JobSpecTest, StrategyKeyAndOptionsParse) {
