@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,7 +20,6 @@
 #include "eval/online.h"
 #include "nn/kernel_dispatch.h"
 #include "obs/export.h"
-#include "obs/obs.h"
 
 namespace {
 
@@ -55,9 +55,10 @@ void usage() {
                "  --no-wireless-loss  lossless links (the paper's case (a))\n"
                "  --eval            also report driving success rates\n"
                "  --trace-out F     Chrome trace-event JSON (open in Perfetto);\n"
-               "                    enables sim-event + wall-clock span tracing\n"
+               "                    records sim events + wall-clock spans\n"
                "  --events-out F    sim-time event log, one JSON object per line\n"
-               "  --metrics-out F   merged metrics-registry snapshot as JSON\n"
+               "                    (records the run's events)\n"
+               "  --metrics-out F   the run's run.* counters and gauges as JSON\n"
                "  --report-out F    per-vehicle run report (.csv => CSV, else JSON)\n"
                "  --checkpoint-out F   write a run-state checkpoint at the horizon\n"
                "  --resume-from F      restore run state from a checkpoint first\n"
@@ -98,9 +99,7 @@ bool save_checkpoint_file(const lbchat::engine::FleetSim& sim, const std::string
   return write_file(path, std::string{bytes.begin(), bytes.end()});
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   using namespace lbchat;
 
   std::string approach_name = "LbChat";
@@ -151,8 +150,9 @@ int main(int argc, char** argv) {
       for (const std::string& name : baselines::registry().list()) {
         std::printf("%s\n", name.c_str());
         for (const auto& opt : baselines::registry().option_schema(name)) {
-          std::printf("  --strategy-opt %s=%g  %s\n", opt.name.c_str(), opt.default_value,
-                      opt.description.c_str());
+          std::printf("  --strategy-opt %s=%g  %s, in [%g, %g]\n", opt.name.c_str(),
+                      opt.default_value, opt.description.c_str(), opt.min_value,
+                      opt.max_value);
         }
       }
       return 0;
@@ -217,16 +217,13 @@ int main(int argc, char** argv) {
       std::string{nn::kernel_path_name(nn::active_kernel_path())}.c_str(),
       cfg.int8_eval.enabled ? 1 : 0);
 
-  // Tracing is opt-in: sim events feed every export; wall-clock spans are
-  // only collected when the Chrome trace was requested (they appear nowhere
-  // else). LBCHAT_TRACE can also enable collection without an output flag.
-  obs::init_from_env();
-  if (!trace_out.empty() || !events_out.empty() || !metrics_out.empty()) {
-    obs::set_events_enabled(true);
-  }
-  if (!trace_out.empty()) obs::set_spans_enabled(true);
-
-  engine::FleetSim sim{cfg, std::move(strategy)};
+  // Tracing is opt-in: the run records sim events for the event log and
+  // the Chrome trace; wall-clock spans only for the trace (they appear
+  // nowhere else). LBCHAT_TRACE can also enable either without a flag.
+  const obs::TraceRequest env = obs::trace_request_from_env();
+  obs::set_spans_enabled(env.spans || !trace_out.empty());
+  engine::FleetSim sim{cfg, std::move(strategy),
+                       env.events || !trace_out.empty() || !events_out.empty()};
 
   if (!resume_from.empty()) {
     std::vector<std::uint8_t> bytes;
@@ -260,17 +257,17 @@ int main(int argc, char** argv) {
   int export_failures = 0;
   if (!trace_out.empty() || !events_out.empty() || !metrics_out.empty() ||
       !report_out.empty()) {
-    const auto events = obs::tracer().events();
+    const auto events = sim.events().events();
     if (!trace_out.empty() &&
         !write_file(trace_out, obs::chrome_trace_json(events, obs::spans().spans()))) {
       ++export_failures;
     }
     if (!events_out.empty() &&
-        !write_file(events_out, obs::events_jsonl(events, obs::tracer().dropped()))) {
+        !write_file(events_out, obs::events_jsonl(events, sim.events().dropped()))) {
       ++export_failures;
     }
     if (!metrics_out.empty() &&
-        !write_file(metrics_out, obs::metrics_json(obs::registry().snapshot()))) {
+        !write_file(metrics_out, obs::metrics_json(engine::summary_snapshot(m)))) {
       ++export_failures;
     }
     if (!report_out.empty()) {
@@ -321,4 +318,17 @@ int main(int argc, char** argv) {
     }
   }
   return export_failures == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A run that throws (a strategy or engine invariant) is reported, not
+  // left to abort the process.
+  try {
+    return run_cli(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -1,6 +1,7 @@
 #include "baselines/registry.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -62,6 +63,11 @@ void StrategyRegistry::register_strategy(std::string name, Factory factory,
                                "' for '" + name + "'"};
       }
     }
+    if (!(schema[i].min_value <= schema[i].default_value &&
+          schema[i].default_value <= schema[i].max_value)) {
+      throw std::logic_error{"register_strategy: default of '" + schema[i].name +
+                             "' for '" + name + "' is outside its range"};
+    }
   }
   entries_.push_back(Entry{std::move(name), std::move(factory), std::move(schema)});
 }
@@ -76,16 +82,8 @@ const StrategyRegistry::Entry& StrategyRegistry::entry(std::string_view name) co
 
 std::unique_ptr<engine::Strategy> StrategyRegistry::make(
     std::string_view name, const StrategyOptions& options) const {
-  const Entry& e = entry(name);
-  for (const auto& kv : options.entries()) {
-    const bool known = std::any_of(e.schema.begin(), e.schema.end(),
-                                   [&](const OptionSpec& s) { return s.name == kv.key; });
-    if (!known) {
-      throw std::invalid_argument{"strategy '" + e.name + "' has no option '" + kv.key +
-                                  "'"};
-    }
-  }
-  return e.factory(options);
+  (void)fingerprint_options(name, options);  // throws on a bad key or value
+  return entry(name).factory(options);
 }
 
 std::vector<std::string> StrategyRegistry::list() const {
@@ -115,6 +113,14 @@ std::vector<StrategyOptionKv> StrategyRegistry::fingerprint_options(
       throw std::invalid_argument{"strategy '" + e.name + "' has no option '" + kv.key +
                                   "'"};
     }
+    // Checked before any factory converts the double (an out-of-range
+    // double-to-integer cast is undefined behaviour).
+    if (!(it->min_value <= kv.value && kv.value <= it->max_value)) {
+      char range[64];
+      std::snprintf(range, sizeof range, "[%g, %g]", it->min_value, it->max_value);
+      throw std::invalid_argument{"strategy '" + e.name + "' option '" + kv.key +
+                                  "' must be in " + range};
+    }
     // Defaults are dropped so an explicitly-default run keys identically to
     // one that never mentioned the option (common/fingerprint.h).
     if (kv.value != it->default_value) {
@@ -136,8 +142,8 @@ StrategyRegistry build_registry() {
         opts.variate_scale = o.get_or("variate_scale", opts.variate_scale);
         return std::make_unique<ProxSkipStrategy>(opts);
       },
-      {{"comm_probability", 0.2, "probability a round synchronizes"},
-       {"variate_scale", 0.0, "control-variate strength (0 = off)"}});
+      {{"comm_probability", 0.2, "probability a round synchronizes", 0.0, 1.0},
+       {"variate_scale", 0.0, "control-variate strength (0 = off)", 0.0, 1e6}});
   reg.register_strategy("RSU-L", [](const StrategyOptions&) -> std::unique_ptr<engine::Strategy> {
     return std::make_unique<RsuStrategy>();
   });
@@ -151,9 +157,9 @@ StrategyRegistry build_registry() {
             static_cast<int>(o.get_or("alpha_steps", static_cast<double>(opts.alpha_steps)));
         return std::make_unique<DflDdsStrategy>(opts);
       },
-      {{"alpha_min", 0.1, "mixing-weight search range lower bound"},
-       {"alpha_max", 0.6, "mixing-weight search range upper bound"},
-       {"alpha_steps", 11.0, "line-search resolution"}});
+      {{"alpha_min", 0.1, "mixing-weight search range lower bound", 0.0, 1.0},
+       {"alpha_max", 0.6, "mixing-weight search range upper bound", 0.0, 1.0},
+       {"alpha_steps", 11.0, "line-search resolution", 1.0, 1e4}});
   reg.register_strategy("DP", [](const StrategyOptions&) -> std::unique_ptr<engine::Strategy> {
     return std::make_unique<DpStrategy>();
   });
@@ -165,7 +171,7 @@ StrategyRegistry build_registry() {
             static_cast<std::size_t>(o.get_or("eval_cap", static_cast<double>(opts.eval_cap)));
         return std::make_unique<core::LbChatStrategy>(opts);
       },
-      {{"eval_cap", 64.0, "in-chat coreset evaluation cap"}});
+      {{"eval_cap", 64.0, "in-chat coreset evaluation cap", 1.0, 1e6}});
   reg.register_strategy("SCO", [](const StrategyOptions&) -> std::unique_ptr<engine::Strategy> {
     core::LbChatOptions opts;
     opts.share_model = false;
@@ -192,8 +198,9 @@ StrategyRegistry build_registry() {
         opts.pair_weight = o.get_or("pair_weight", opts.pair_weight);
         return std::make_unique<DynThreshStrategy>(opts);
       },
-      {{"divergence_bound", 1.5e-2, "RMS divergence from reference that triggers a chat"},
-       {"pair_weight", 0.5, "blend weight on the delivered peer model"}});
+      {{"divergence_bound", 1.5e-2, "RMS divergence from reference that triggers a chat", 0.0,
+        1e6},
+       {"pair_weight", 0.5, "blend weight on the delivered peer model", 0.0, 1.0}});
   reg.register_strategy(
       "SimGossip",
       [](const StrategyOptions& o) -> std::unique_ptr<engine::Strategy> {
@@ -201,7 +208,7 @@ StrategyRegistry build_registry() {
         opts.temperature = o.get_or("temperature", opts.temperature);
         return std::make_unique<SimGossipStrategy>(opts);
       },
-      {{"temperature", 0.1, "softness of the similarity-to-weight map"}});
+      {{"temperature", 0.1, "softness of the similarity-to-weight map", 0.0, 1e6}});
   return reg;
 }
 

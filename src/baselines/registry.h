@@ -13,6 +13,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -23,11 +24,14 @@
 
 namespace lbchat::baselines {
 
-/// One tunable a strategy exposes through the registry.
+/// One tunable a strategy exposes through the registry, with the closed
+/// range [min_value, max_value] its factory can convert and use.
 struct OptionSpec {
   std::string name;
   double default_value = 0.0;
   std::string description;
+  double min_value = std::numeric_limits<double>::lowest();
+  double max_value = std::numeric_limits<double>::max();
 };
 
 /// A flat key -> value bag of per-strategy tunables, kept sorted by key so
@@ -60,14 +64,15 @@ class StrategyRegistry {
   using Factory = std::function<std::unique_ptr<engine::Strategy>(const StrategyOptions&)>;
 
   /// Register `name`. Throws std::logic_error on an empty name, a duplicate
-  /// name, or a schema with duplicate/empty option names — registration is
-  /// the uniqueness gate that the old hand-maintained initializer list never
-  /// had.
+  /// name, or a schema with duplicate/empty option names or a default
+  /// outside its range — registration is the uniqueness gate that the old
+  /// hand-maintained initializer list never had.
   void register_strategy(std::string name, Factory factory,
                          std::vector<OptionSpec> schema = {});
 
   /// Construct a strategy by name. Throws std::invalid_argument on an
-  /// unknown name or an option key absent from the strategy's schema.
+  /// unknown name, or an option key absent from the strategy's schema or a
+  /// value outside its range (fingerprint_options vets both).
   [[nodiscard]] std::unique_ptr<engine::Strategy> make(
       std::string_view name, const StrategyOptions& options = {}) const;
 
@@ -83,8 +88,10 @@ class StrategyRegistry {
   /// Schema-validated canonical view of `options` for cache keys: sorted by
   /// key, with entries equal to the schema default dropped — so a strategy
   /// explicitly configured to its defaults fingerprints identically to one
-  /// whose options were never mentioned (common/fingerprint.h).
-  /// Throws std::invalid_argument like make().
+  /// whose options were never mentioned (common/fingerprint.h). The one
+  /// vetting point of option keys and values (make, the job parser):
+  /// throws std::invalid_argument on an unknown name or key, or a value
+  /// outside its OptionSpec range.
   [[nodiscard]] std::vector<StrategyOptionKv> fingerprint_options(
       std::string_view name, const StrategyOptions& options) const;
 

@@ -14,8 +14,6 @@
 #include "data/sample_io.h"
 #include "engine/fleet.h"
 #include "obs/export.h"
-#include "obs/obs.h"
-#include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace lbchat::engine {
@@ -316,13 +314,12 @@ void FleetSim::save_checkpoint(ByteWriter& out) const {
     w.write_bytes(blob.bytes());
     section(CkptSection::kStrategy, w);
   }
-  {  // kObs: event-trace ring + metrics-registry snapshot, captured only
-    // when event tracing is on (with it off both are empty by contract).
+  {  // kObs: this run's event log, captured only when the run records
+    // events (with recording off it is empty by contract).
     ByteWriter w;
-    const bool captured = obs::events_enabled();
-    w.write_u8(captured ? 1 : 0);
-    if (captured) {
-      const auto events = obs::tracer().events();
+    w.write_u8(record_events_ ? 1 : 0);
+    if (record_events_) {
+      const auto events = events_.events();
       w.write_u32(static_cast<std::uint32_t>(events.size()));
       for (const auto& e : events) {
         w.write_f64(e.t);
@@ -331,18 +328,7 @@ void FleetSim::save_checkpoint(ByteWriter& out) const {
         w.write_i32(e.b);
         w.write_f64(e.value);
       }
-      w.write_u64(obs::tracer().dropped());
-      const auto snap = obs::registry().snapshot();
-      w.write_u32(static_cast<std::uint32_t>(snap.metrics.size()));
-      for (const auto& m : snap.metrics) {
-        w.write_string(m.name);
-        w.write_u8(static_cast<std::uint8_t>(m.kind));
-        w.write_u64(m.count);
-        w.write_f64(m.value);
-        w.write_f64_vec(m.bounds);
-        w.write_u32(static_cast<std::uint32_t>(m.buckets.size()));
-        for (const std::uint64_t b : m.buckets) w.write_u64(b);
-      }
+      w.write_u64(events_.dropped());
     }
     section(CkptSection::kObs, w);
   }
@@ -601,35 +587,10 @@ CkptStatus FleetSim::restore(ByteReader& in) {
               events.push_back(e);
             }
             const std::uint64_t dropped = s.read_u64();
-            obs::Snapshot snap;
-            const std::uint32_t nm = s.read_u32();
-            snap.metrics.reserve(std::min<std::uint32_t>(nm, 1024));
-            for (std::uint32_t k = 0; k < nm; ++k) {
-              obs::MetricValue m;
-              m.name = s.read_string();
-              const std::uint8_t kind = s.read_u8();
-              if (kind > static_cast<std::uint8_t>(obs::MetricKind::kHistogram)) {
-                throw std::runtime_error{"checkpoint: metric kind out of range"};
-              }
-              m.kind = static_cast<obs::MetricKind>(kind);
-              m.count = s.read_u64();
-              m.value = s.read_f64();
-              m.bounds = s.read_f64_vec();
-              const std::uint32_t nbk = s.read_u32();
-              if (nbk > obs::MetricsRegistry::kBucketSlots) {
-                throw std::runtime_error{"checkpoint: bucket count out of range"};
-              }
-              m.buckets.resize(nbk);
-              for (auto& b : m.buckets) b = s.read_u64();
-              snap.metrics.push_back(std::move(m));
-            }
-            // Re-applied only when tracing is on in this process; with it
-            // off the captured state is read (validated) and discarded, as
-            // the resumed run will not export events either.
-            if (obs::events_enabled()) {
-              obs::tracer().restore(std::move(events), dropped);
-              obs::registry().restore(snap);
-            }
+            // Re-applied only when this run records events; otherwise the
+            // captured log is read (validated) and discarded, as the resumed
+            // run will not export events either.
+            if (record_events_) events_.restore(std::move(events), dropped);
           }
           require_exhausted(s, "obs");
           break;

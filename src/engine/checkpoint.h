@@ -34,8 +34,9 @@ namespace lbchat::engine {
 struct ScenarioConfig;
 
 /// Bumped on any incompatible change to the checkpoint payload layout or to
-/// the config_fingerprint it carries (2: fingerprint over the field table).
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// the config_fingerprint it carries (2: fingerprint over the field table;
+/// 3: kObs carries the run's event log only, no metrics registry).
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Section tags of the checkpoint body (u8 on the wire). Every section is
 /// length-prefixed, so tooling can walk the structure without the config.
@@ -48,7 +49,7 @@ enum class CkptSection : std::uint8_t {
   kStats = 6,     ///< TransferStats + per-vehicle accounting
   kMetrics = 7,   ///< RunMetrics accumulated so far (loss curves)
   kStrategy = 8,  ///< strategy-private state (Strategy::save_state)
-  kObs = 9,       ///< event-trace ring + metrics-registry snapshot
+  kObs = 9,       ///< the run's event log (when it records events)
 };
 
 [[nodiscard]] std::string_view section_name(std::uint8_t tag);

@@ -50,7 +50,8 @@ void Strategy::load_session_state(FleetSim& sim, PairSession& s, ByteReader& r) 
   (void)r;
 }
 
-FleetSim::FleetSim(const ScenarioConfig& cfg, std::unique_ptr<Strategy> strategy)
+FleetSim::FleetSim(const ScenarioConfig& cfg, std::unique_ptr<Strategy> strategy,
+                   bool record_events)
     : cfg_(cfg),
       loss_(net::WirelessLossModel::default_table(cfg.radio.max_range_m)),
       no_loss_(zero_loss()),
@@ -61,7 +62,8 @@ FleetSim::FleetSim(const ScenarioConfig& cfg, std::unique_ptr<Strategy> strategy
       hetero_(cfg.hetero, cfg.seed, cfg.num_vehicles),
       strategy_rng_(Rng{cfg.seed}.fork("strategy")),
       net_rng_(Rng{cfg.seed}.fork("net")),
-      infra_rng_(Rng{cfg.seed}.fork("infra")) {
+      infra_rng_(Rng{cfg.seed}.fork("infra")),
+      record_events_(record_events) {
   if (strategy_ == nullptr) throw std::invalid_argument{"FleetSim: null strategy"};
   if (cfg.num_threads != 1) pool_ = std::make_unique<ThreadPool>(cfg.num_threads);
   // Lend the pool to the world for snapshot-mode stepping (no-op when null
@@ -98,11 +100,13 @@ void FleetSim::collect_phase() {
   // Vehicles drive for collect_duration_s, grabbing one frame per 1/fps of
   // simulated time (paper: 2 fps for one hour; scaled). Frames are then split
   // per vehicle into (shared eval) / (local validation) / (local dataset).
+  // validate() refuses configs whose split (collect_split) leaves a vehicle
+  // no training frame.
   const double frame_dt = 1.0 / cfg_.collect_fps;
-  const int frames = static_cast<int>(cfg_.collect_duration_s * cfg_.collect_fps);
+  const CollectSplit split = collect_split(cfg_);
   std::vector<std::vector<data::Sample>> collected(
       static_cast<std::size_t>(cfg_.num_vehicles));
-  for (int f = 0; f < frames; ++f) {
+  for (int f = 0; f < split.frames; ++f) {
     world_.step(frame_dt);
     for (int v = 0; v < cfg_.num_vehicles; ++v) {
       const std::uint64_t id =
@@ -113,20 +117,10 @@ void FleetSim::collect_phase() {
   for (int v = 0; v < cfg_.num_vehicles; ++v) {
     auto& frames_v = collected[static_cast<std::size_t>(v)];
     const std::size_t n = frames_v.size();
-    if (n == 0) throw std::logic_error{"collect_phase: no frames collected"};
-    const std::size_t eval_n =
-        std::min<std::size_t>(static_cast<std::size_t>(cfg_.eval_frames_per_vehicle), n);
-    const std::size_t eval_stride = std::max<std::size_t>(n / std::max<std::size_t>(eval_n, 1), 1);
-    std::vector<char> taken(n, 0);
-    for (std::size_t k = 0; k < eval_n; ++k) {
-      const std::size_t idx = std::min(k * eval_stride, n - 1);
-      if (taken[idx] != 0) continue;
-      taken[idx] = 1;
-      eval_set_.push_back(frames_v[idx]);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (split.eval(i)) eval_set_.push_back(frames_v[i]);
     }
     auto& node = *nodes_[static_cast<std::size_t>(v)];
-    const auto valid_every = static_cast<std::size_t>(
-        cfg_.validation_fraction > 0.0 ? std::llround(1.0 / cfg_.validation_fraction) : 0);
     // Original sample weights w(d): inverse per-command frequency, so rare
     // commands (turns) are not drowned out by lane-following frames. This is
     // the command-balance goal of the paper's sigma(x) penalty (Eq. (6))
@@ -136,7 +130,7 @@ void FleetSim::collect_phase() {
     std::array<std::size_t, data::kNumCommands> counts{};
     for (const auto& s : frames_v) ++counts[static_cast<std::size_t>(s.command)];
     for (std::size_t i = 0; i < n; ++i) {
-      if (taken[i] != 0) continue;
+      if (split.eval(i)) continue;
       data::Sample s = frames_v[i];
       const auto c = counts[static_cast<std::size_t>(s.command)];
       if (c > 0) {
@@ -145,7 +139,7 @@ void FleetSim::collect_phase() {
             static_cast<double>(n) / (data::kNumCommands * static_cast<double>(c)), 0.25, 8.0);
         s.weight = std::clamp(s.weight, 0.25, 10.0);
       }
-      if (valid_every > 0 && i % valid_every == valid_every - 1) {
+      if (split.validation(i)) {
         node.validation.push_back(std::move(s));
       } else {
         node.dataset.add(std::move(s));
@@ -222,7 +216,7 @@ void FleetSim::note_pair_failure(int a, int b) {
   ++backoff_inserts_;
   const int consecutive = ++pair_backoff_[pair_key(a, b)];
   ++stats_.backoff_retries;
-  obs::emit(time_, obs::EventKind::kBackoffExtend, a, b, consecutive);
+  emit(obs::EventKind::kBackoffExtend, a, b, consecutive);
 }
 
 void FleetSim::note_frame_rejected(int receiver, bool is_model, bool invalid_values) {
@@ -234,7 +228,7 @@ void FleetSim::note_frame_rejected(int receiver, bool is_model, bool invalid_val
     ++vs.frames_rejected;
     if (is_model) ++vs.model_frames_rejected;
   }
-  obs::emit(time_, obs::EventKind::kFrameReject, receiver, -1, is_model ? 1.0 : 0.0);
+  emit(obs::EventKind::kFrameReject, receiver, -1, is_model ? 1.0 : 0.0);
 }
 
 void FleetSim::note_aggregate(int receiver, int sender, double peer_weight) {
@@ -247,7 +241,7 @@ void FleetSim::note_aggregate(int receiver, int sender, double peer_weight) {
       stats_.attacker_peer_weight += peer_weight;
     }
   }
-  obs::emit(time_, obs::EventKind::kAggregate, receiver, sender, peer_weight);
+  emit(obs::EventKind::kAggregate, receiver, sender, peer_weight);
 }
 
 void FleetSim::note_pair_success(int a, int b) {
@@ -296,7 +290,7 @@ PairSession& FleetSim::start_session(int a, int b) {
   }
   ++vehicle_stats(a).chats_started;
   ++vehicle_stats(b).chats_started;
-  obs::emit(time_, obs::EventKind::kChatStart, a, b);
+  emit(obs::EventKind::kChatStart, a, b);
   sessions_.push_back(std::move(s));
   return *sessions_.back();
 }
@@ -315,7 +309,7 @@ PairSession& FleetSim::start_infra_session(int a, const Vec2& pos) {
                                   static_cast<std::uint64_t>(stats_.sessions_started));
   }
   ++vehicle_stats(a).chats_started;
-  obs::emit(time_, obs::EventKind::kChatStart, a, -1);
+  emit(obs::EventKind::kChatStart, a, -1);
   sessions_.push_back(std::move(s));
   return *sessions_.back();
 }
@@ -344,15 +338,14 @@ void FleetSim::queue_transfer(PairSession& s, int from_vehicle, std::size_t byte
     if (adversary_.transform_payload(static_cast<int>(tag.kind), payload,
                                      cfg_.policy.bev)) {
       ++stats_.byzantine_payloads_sent;
-      obs::emit(time_, obs::EventKind::kByzantinePayload, from_vehicle, receiver,
-                static_cast<double>(tag.kind));
+      emit(obs::EventKind::kByzantinePayload, from_vehicle, receiver,
+           static_cast<double>(tag.kind));
     }
   }
   if (tag.kind == StageTag::kModel && bytes > 0) {
     ++stats_.model_sends_started;
     if (receiver >= 0) ++vehicle_stats(receiver).model_recv_started;
-    obs::emit(time_, obs::EventKind::kModelSend, from_vehicle, receiver,
-              static_cast<double>(bytes));
+    emit(obs::EventKind::kModelSend, from_vehicle, receiver, static_cast<double>(bytes));
   }
   if (tag.kind == StageTag::kCoreset && bytes > 0) ++stats_.coreset_sends_started;
   s.queue_.push_back(PairSession::Stage{tag, net::Transfer{bytes, session_radio(s.a_, s.b_)},
@@ -454,7 +447,7 @@ void FleetSim::tick_sessions(double dt) {
       if (blackout) ++stats_.sessions_lost_to_blackout;
       ++vehicle_stats(s.a_).chats_aborted;
       if (s.b_ >= 0) ++vehicle_stats(s.b_).chats_aborted;
-      obs::emit(time_, obs::EventKind::kChatAbort, s.a_, s.b_, blackout ? 1.0 : 0.0);
+      emit(obs::EventKind::kChatAbort, s.a_, s.b_, blackout ? 1.0 : 0.0);
       s.queue_.clear();
       s.closed_ = true;
       s.aborted_ = true;
@@ -528,13 +521,7 @@ void FleetSim::reap_sessions() {
         const double duration = time_ - s.started_at_;
         ++vehicle_stats(s.a_).chats_completed;
         if (s.b_ >= 0) ++vehicle_stats(s.b_).chats_completed;
-        obs::emit(time_, obs::EventKind::kChatComplete, s.a_, s.b_, duration);
-        if (obs::events_enabled()) {
-          static const auto kChatDuration = obs::registry().histogram(
-              "chat.duration_s",
-              std::array<double, 7>{1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0});
-          obs::registry().observe(kChatDuration, duration);
-        }
+        emit(obs::EventKind::kChatComplete, s.a_, s.b_, duration);
       }
       it = sessions_.erase(it);
     } else {
@@ -549,7 +536,7 @@ void FleetSim::abort_sessions_of(int v) {
   ++stats_.sessions_aborted;
   ++vehicle_stats(s->a_).chats_aborted;
   if (s->b_ >= 0) ++vehicle_stats(s->b_).chats_aborted;
-  obs::emit(time_, obs::EventKind::kChatAbort, s->a_, s->b_, 0.0);
+  emit(obs::EventKind::kChatAbort, s->a_, s->b_, 0.0);
   s->queue_.clear();
   s->closed_ = true;
   s->aborted_ = true;
@@ -558,10 +545,6 @@ void FleetSim::abort_sessions_of(int v) {
 
 double FleetSim::default_local_train(int v) {
   LBCHAT_OBS_SPAN("engine.local_train");
-  if (obs::events_enabled()) {
-    static const auto kTrainSteps = obs::registry().counter("train.steps");
-    obs::registry().add(kTrainSteps);
-  }
   VehicleNode& n = node(v);
   const auto idx = n.dataset.sample_batch(n.rng, static_cast<std::size_t>(cfg_.batch_size));
   std::vector<const data::Sample*> batch;
@@ -571,11 +554,10 @@ double FleetSim::default_local_train(int v) {
   return n.model.train_batch(batch, *n.opt);
 }
 
-double FleetSim::mean_eval_loss() const {
+std::vector<double> FleetSim::eval_losses() const {
   LBCHAT_OBS_SPAN("engine.mean_eval_loss");
-  if (eval_set_.empty() || nodes_.empty()) return 0.0;
-  // Per-vehicle losses land in an index-addressed slot and are reduced
-  // sequentially afterwards, so the sum is bit-identical for any lane count.
+  // Per-vehicle losses land in index-addressed slots; callers reduce them
+  // sequentially, so sums are bit-identical for any lane count.
   const bool int8 = cfg_.int8_eval.scores_eval_loss();
   std::vector<double> losses(nodes_.size(), 0.0);
   for_each_vehicle([&](std::int64_t v) {
@@ -584,28 +566,22 @@ double FleetSim::mean_eval_loss() const {
                                               ? nn::Int8Policy{model}.weighted_loss(eval_set_)
                                               : model.weighted_loss(eval_set_);
   });
+  return losses;
+}
+
+double FleetSim::mean_eval_loss() const {
+  if (eval_set_.empty() || nodes_.empty()) return 0.0;
   double sum = 0.0;
-  for (const double l : losses) sum += l;
+  for (const double l : eval_losses()) sum += l;
   return sum / static_cast<double>(nodes_.size());
 }
 
 void FleetSim::eval_and_record(RunMetrics& metrics, double t) {
-  LBCHAT_OBS_SPAN("engine.mean_eval_loss");
   if (eval_set_.empty() || nodes_.empty()) {
     metrics.loss_curve.add(t, 0.0);
     return;
   }
-  // Same computation and reduction order as mean_eval_loss(): per-vehicle
-  // losses land in index-addressed slots, then one sequential sum — so the
-  // recorded curve stays bit-identical to the pre-observability engine.
-  const bool int8 = cfg_.int8_eval.scores_eval_loss();
-  std::vector<double> losses(nodes_.size(), 0.0);
-  for_each_vehicle([&](std::int64_t v) {
-    const nn::DrivingPolicy& model = nodes_[static_cast<std::size_t>(v)]->model;
-    losses[static_cast<std::size_t>(v)] = int8
-                                              ? nn::Int8Policy{model}.weighted_loss(eval_set_)
-                                              : model.weighted_loss(eval_set_);
-  });
+  const std::vector<double> losses = eval_losses();
   double sum = 0.0;
   for (const double l : losses) sum += l;
   const double mean = sum / static_cast<double>(nodes_.size());
@@ -633,40 +609,7 @@ void FleetSim::eval_and_record(RunMetrics& metrics, double t) {
   for (std::size_t v = 0; v < nodes_.size(); ++v) {
     metrics.per_vehicle_loss[v].add(t, losses[v]);
   }
-  obs::emit(t, obs::EventKind::kEval, -1, -1, mean);
-}
-
-void FleetSim::publish_run_metrics() const {
-  if (!obs::events_enabled()) return;
-  auto& reg = obs::registry();
-  const auto set = [&reg](std::string_view name, double value) {
-    reg.set(reg.gauge(name), value);
-  };
-  set("transfer.bytes_delivered", static_cast<double>(stats_.bytes_delivered));
-  set("transfer.model_sends_started", stats_.model_sends_started);
-  set("transfer.model_sends_completed", stats_.model_sends_completed);
-  set("transfer.coreset_sends_started", stats_.coreset_sends_started);
-  set("transfer.coreset_sends_completed", stats_.coreset_sends_completed);
-  set("transfer.sessions_started", stats_.sessions_started);
-  set("transfer.sessions_aborted", stats_.sessions_aborted);
-  set("transfer.frames_rejected", stats_.frames_rejected);
-  set("transfer.model_frames_rejected", stats_.model_frames_rejected);
-  set("transfer.sessions_lost_to_blackout", stats_.sessions_lost_to_blackout);
-  set("transfer.backoff_retries", stats_.backoff_retries);
-  set("transfer.offline_vehicle_seconds", stats_.offline_vehicle_seconds);
-  set("transfer.model_receiving_rate", stats_.model_receiving_rate());
-  set("transfer.effective_model_receiving_rate", stats_.effective_model_receiving_rate());
-  // Gated on configuration (not just nonzero values) so runs without an
-  // adversary/heterogeneity block — including the committed golden scenarios
-  // — publish a byte-identical registry snapshot.
-  if (cfg_.adversary.enabled()) {
-    set("adversary.byzantine_payloads_sent", stats_.byzantine_payloads_sent);
-    set("adversary.attacker_weight_share", stats_.attacker_weight_share());
-    set("adversary.frames_rejected_invalid", stats_.frames_rejected_invalid);
-  }
-  if (cfg_.hetero.enabled()) {
-    set("hetero.straggler_train_skips", static_cast<double>(stats_.straggler_train_skips));
-  }
+  if (record_events_) events_.emit(obs::Event{t, obs::EventKind::kEval, -1, -1, mean});
 }
 
 void FleetSim::prepare() {
@@ -687,7 +630,7 @@ void FleetSim::run_until(double t_end) {
     world_.step(cfg_.tick_s);
     sync_positions();
     time_ += cfg_.tick_s;
-    faults_.advance(time_, cfg_.tick_s);
+    faults_.advance(time_, cfg_.tick_s, record_events_ ? &events_ : nullptr);
     // Churn: a vehicle dropping out mid-session aborts it (the peer sees
     // on_session_aborted, as if the link died); its own training and
     // chatting pause until it rejoins, state intact.
@@ -714,7 +657,7 @@ void FleetSim::run_until(double t_end) {
           if (!hetero_.should_train(v)) {
             train_gate_[static_cast<std::size_t>(v)] = 0;
             ++stats_.straggler_train_skips;
-            obs::emit(time_, obs::EventKind::kStragglerSkip, v);
+            emit(obs::EventKind::kStragglerSkip, v);
           }
         }
       }
@@ -762,7 +705,6 @@ RunMetrics FleetSim::finalize() {
   for (const auto& n : nodes_) {
     metrics_.final_params.emplace_back(n->model.params().begin(), n->model.params().end());
   }
-  publish_run_metrics();
   return metrics_;
 }
 

@@ -32,7 +32,7 @@
 #include "net/wireless.h"
 #include "nn/optim.h"
 #include "nn/policy.h"
-#include "obs/obs.h"
+#include "obs/trace.h"
 #include "sim/world.h"
 
 namespace lbchat::engine {
@@ -178,7 +178,10 @@ class Strategy {
 
 class FleetSim {
  public:
-  FleetSim(const ScenarioConfig& cfg, std::unique_ptr<Strategy> strategy);
+  /// `record_events` turns on this run's sim-time event log (events());
+  /// recording never changes what the run computes.
+  FleetSim(const ScenarioConfig& cfg, std::unique_ptr<Strategy> strategy,
+           bool record_events = false);
   ~FleetSim();
 
   /// Execute the full run: data collection, then the training loop.
@@ -220,6 +223,15 @@ class FleetSim {
   [[nodiscard]] VehicleTransferStats& vehicle_stats(int v) {
     return vstats_[static_cast<std::size_t>(v)];
   }
+
+  /// Record a sim-time event at the current time into this run's log (a
+  /// member test + branch when the run does not record events).
+  void emit(obs::EventKind kind, int a = -1, int b = -1, double value = 0.0) {
+    if (record_events_) events_.emit(obs::Event{time_, kind, a, b, value});
+  }
+  /// This run's event log (empty unless it records events). The kObs
+  /// checkpoint section carries it across save/restore.
+  [[nodiscard]] const obs::EventTracer& events() const { return events_; }
 
   [[nodiscard]] double pair_distance(int a, int b) const;
   [[nodiscard]] bool in_range(int a, int b) const;
@@ -303,11 +315,12 @@ class FleetSim {
 
  private:
   void collect_phase();
+  /// Every vehicle's held-out loss, index-addressed (computed on the pool
+  /// when one is configured; bit-identical for any lane count).
+  [[nodiscard]] std::vector<double> eval_losses() const;
   /// Evaluate the fleet at sim time `t` and record the mean + per-vehicle
-  /// losses into `metrics` (same reduction order as mean_eval_loss()).
+  /// losses into `metrics` (same reduction as mean_eval_loss()).
   void eval_and_record(RunMetrics& metrics, double t);
-  /// Mirror TransferStats into registry gauges (when events are enabled).
-  void publish_run_metrics() const;
   void tick_sessions(double dt);
   void reap_sessions();
   /// Abort every session a churned-out vehicle participates in.
@@ -385,6 +398,8 @@ class FleetSim {
   /// Mutable: parallel dispatch from const evaluation paths mutates only
   /// pool bookkeeping, not simulation state.
   mutable std::unique_ptr<ThreadPool> pool_;
+  bool record_events_ = false;
+  obs::EventTracer events_;
 };
 
 }  // namespace lbchat::engine

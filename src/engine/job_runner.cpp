@@ -7,8 +7,9 @@
 
 namespace lbchat::engine {
 
-JobRunner::JobRunner(const ScenarioConfig& cfg, std::unique_ptr<Strategy> strategy)
-    : horizon_(cfg.duration_s), sim_(cfg, std::move(strategy)) {}
+JobRunner::JobRunner(const ScenarioConfig& cfg, std::unique_ptr<Strategy> strategy,
+                     bool record_events)
+    : horizon_(cfg.duration_s), sim_(cfg, std::move(strategy), record_events) {}
 
 CkptStatus JobRunner::resume(std::span<const std::uint8_t> ckpt) {
   ByteReader r{ckpt};

@@ -17,7 +17,9 @@ namespace lbchat::engine {
 
 class JobRunner {
  public:
-  JobRunner(const ScenarioConfig& cfg, std::unique_ptr<Strategy> strategy);
+  /// `record_events` is forwarded to the FleetSim (its per-run event log).
+  JobRunner(const ScenarioConfig& cfg, std::unique_ptr<Strategy> strategy,
+            bool record_events = false);
 
   /// Restore run state from checkpoint bytes produced by save_checkpoint()
   /// under the same configuration + strategy. Call before the first run_to.
@@ -38,6 +40,8 @@ class JobRunner {
   [[nodiscard]] double horizon() const { return horizon_; }
   [[nodiscard]] bool done() const { return sim_.time() >= horizon_; }
   [[nodiscard]] const ScenarioConfig& config() const { return sim_.config(); }
+  /// The run's event log (restored with the checkpoint on resume).
+  [[nodiscard]] const obs::EventTracer& events() const { return sim_.events(); }
 
  private:
   double horizon_;

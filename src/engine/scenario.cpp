@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 #include <system_error>
 #include <unordered_map>
 
@@ -167,8 +170,44 @@ bool FieldSetter::set(std::string_view key, std::string_view text, std::string& 
 }
 
 bool FieldSetter::finish(std::string& error) {
-  if (metro_vehicles_.has_value()) apply_metro_scale(cfg_, *metro_vehicles_);
+  // Bounded before the metro scale multiplies the background traffic by
+  // their ratio; validate() then checks the scaled counts.
+  if (cfg_.num_vehicles > kMaxVehicles || metro_vehicles_.value_or(0) > kMaxVehicles) {
+    error = "vehicles and num_vehicles must be at most " + std::to_string(kMaxVehicles);
+    return false;
+  }
+  if (metro_vehicles_.has_value()) {
+    try {
+      apply_metro_scale(cfg_, *metro_vehicles_);
+    } catch (const std::invalid_argument& e) {
+      error = e.what();
+      return false;
+    }
+  }
   return validate(cfg_, error);
+}
+
+std::size_t CollectSplit::training_frames() const {
+  // Every valid_every-th index is a validation candidate; add the eval
+  // frames that are not. O(eval_n): the service validates each spec of its
+  // persisted backlog at start-up.
+  const auto n = static_cast<std::size_t>(std::max(frames, 0));
+  std::size_t held_out = valid_every > 0 ? n / valid_every : 0;
+  for (std::size_t k = 0; k < eval_n; ++k) {
+    if (!validation(k * eval_stride)) ++held_out;
+  }
+  return n - held_out;
+}
+
+CollectSplit collect_split(const ScenarioConfig& cfg) {
+  CollectSplit split;
+  split.frames = static_cast<int>(cfg.collect_duration_s * cfg.collect_fps);
+  const auto n = static_cast<std::size_t>(std::max(split.frames, 0));
+  split.eval_n = std::min<std::size_t>(static_cast<std::size_t>(cfg.eval_frames_per_vehicle), n);
+  split.eval_stride = std::max<std::size_t>(n / std::max<std::size_t>(split.eval_n, 1), 1);
+  split.valid_every = static_cast<std::size_t>(
+      cfg.validation_fraction > 0.0 ? std::llround(1.0 / cfg.validation_fraction) : 0);
+  return split;
 }
 
 bool validate(const ScenarioConfig& cfg, std::string& error) {
@@ -181,7 +220,11 @@ bool validate(const ScenarioConfig& cfg, std::string& error) {
   };
   const nn::PolicyConfig& p = cfg.policy;
   const std::pair<bool, const char*> checks[] = {
-      {cfg.num_vehicles >= 2, "need at least 2 vehicles"},
+      {cfg.num_vehicles >= 2 && cfg.num_vehicles <= kMaxVehicles,
+       "num_vehicles must be in [2, 16384]"},
+      {cfg.world.num_background_cars <= kMaxWorldAgents &&
+           cfg.world.num_pedestrians <= kMaxWorldAgents,
+       "world.num_background_cars and world.num_pedestrians must be at most 1048576"},
       {positive(cfg.duration_s), "duration_s must be finite and > 0"},
       // A zero, tiny or negative tick would never reach the horizon.
       {positive(cfg.tick_s) && cfg.duration_s / cfg.tick_s <= 1e8,
@@ -204,8 +247,18 @@ bool validate(const ScenarioConfig& cfg, std::string& error) {
   };
   const auto* failed = std::find_if(std::begin(checks), std::end(checks),
                                     [](const auto& check) { return !check.first; });
-  if (failed != std::end(checks)) error = failed->second;
-  return failed == std::end(checks);
+  if (failed != std::end(checks)) {
+    error = failed->second;
+    return false;
+  }
+  // With the frame count bounded, the collect phase's own split must leave
+  // every vehicle something to train on.
+  if (collect_split(cfg).training_frames() == 0) {
+    error = "the collect split (collect_duration_s x collect_fps frames, less "
+            "eval_frames_per_vehicle and validation_fraction) leaves no training frame";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace lbchat::engine

@@ -6,7 +6,9 @@
 #include <cmath>
 #include <concepts>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -248,18 +250,25 @@ void for_each_field(Config& cfg, const ScenarioConfig& defaults, Visit&& visit) 
 /// traffic with the count ratio — and the scaling machinery (spatial index,
 /// snapshot-parallel mobility, parallel session ticks) is switched on.
 /// Exposed to job specs and the CLI as the derived key "num_vehicles".
+/// Throws std::invalid_argument when the scaled background cars or
+/// pedestrians would not fit an int.
 inline void apply_metro_scale(ScenarioConfig& cfg, int num_vehicles) {
   const double f =
       static_cast<double>(std::max(num_vehicles, 1)) / std::max(cfg.num_vehicles, 1);
+  const double cars = std::round(cfg.world.num_background_cars * f);
+  const double pedestrians = std::round(cfg.world.num_pedestrians * f);
+  constexpr double kIntMax = std::numeric_limits<int>::max();
+  if (std::fabs(cars) > kIntMax || std::fabs(pedestrians) > kIntMax) {
+    throw std::invalid_argument{"apply_metro_scale: scaled background traffic overflows int"};
+  }
   const double tile = std::sqrt(f);
   sim::TownConfig& town = cfg.world.town;
   town.extent_m *= tile;
   town.urban_grid = std::max(2, static_cast<int>(std::lround(town.urban_grid * tile)));
   town.rural_ring_nodes =
       std::max(6, static_cast<int>(std::lround(town.rural_ring_nodes * tile)));
-  cfg.world.num_background_cars =
-      static_cast<int>(std::lround(cfg.world.num_background_cars * f));
-  cfg.world.num_pedestrians = static_cast<int>(std::lround(cfg.world.num_pedestrians * f));
+  cfg.world.num_background_cars = static_cast<int>(cars);
+  cfg.world.num_pedestrians = static_cast<int>(pedestrians);
   cfg.num_vehicles = std::max(num_vehicles, 1);
   cfg.spatial_index = true;
   cfg.parallel_sessions = true;
@@ -303,12 +312,45 @@ class FieldSetter {
   std::bitset<sizeof(ScenarioConfig) + 1> written_;  ///< by byte offset
 };
 
-/// The range checks of every config surface, on a finished config: >= 2
-/// vehicles, finite positive durations, tick, collect rate and radio
-/// bandwidth, at most 1e8 ticks and 1e6 collected frames per vehicle,
-/// nonzero coreset, packet and wire sizes, BEV frames of at most 65536
-/// cells, policy layer widths in [1, 1024] and num_threads in [0, 1024].
-/// The other rows take any value of their type. False with `error` filled.
+/// How the engine's collect phase splits the frames each vehicle collects:
+/// `eval_n` evenly strided ones go to the shared eval set, then every
+/// `valid_every`-th index (0: none) of the rest to the local validation set,
+/// and what remains to the local training set.
+struct CollectSplit {
+  int frames = 0;  ///< collected per vehicle (<= 0: none)
+  std::size_t eval_n = 0;
+  std::size_t eval_stride = 1;
+  std::size_t valid_every = 0;
+
+  [[nodiscard]] bool eval(std::size_t i) const {
+    return i % eval_stride == 0 && i / eval_stride < eval_n;
+  }
+  /// Whether a non-eval frame `i` is held out for validation.
+  [[nodiscard]] bool validation(std::size_t i) const {
+    return valid_every > 0 && i % valid_every == valid_every - 1;
+  }
+  /// Frames left for each vehicle's training set.
+  [[nodiscard]] std::size_t training_frames() const;
+};
+
+/// The split for `cfg`'s collect_duration_s, collect_fps,
+/// eval_frames_per_vehicle and validation_fraction. Call on a config whose
+/// frame count validate() bounds.
+[[nodiscard]] CollectSplit collect_split(const ScenarioConfig& cfg);
+
+/// Ceilings on the fleet: vehicles (raw or metro-scaled) and the scaled
+/// background cars and pedestrians.
+inline constexpr int kMaxVehicles = 16384;
+inline constexpr int kMaxWorldAgents = 1 << 20;
+
+/// The range checks of every config surface, on a finished config: 2 to
+/// kMaxVehicles vehicles, at most kMaxWorldAgents background cars and
+/// pedestrians each, finite positive durations, tick, collect rate and
+/// radio bandwidth, at most 1e8 ticks and 1e6 collected frames per vehicle
+/// and a collect split that leaves every vehicle a training frame, nonzero
+/// coreset, packet and wire sizes, BEV frames of at most 65536 cells,
+/// policy layer widths in [1, 1024] and num_threads in [0, 1024]. The other
+/// rows take any value of their type. False with `error` filled.
 [[nodiscard]] bool validate(const ScenarioConfig& cfg, std::string& error);
 
 }  // namespace lbchat::engine

@@ -12,6 +12,10 @@
 
 namespace lbchat::obs {
 
+std::string_view to_string(MetricKind kind) {
+  return kind == MetricKind::kCounter ? "counter" : "gauge";
+}
+
 std::string format_double(double v) {
   if (!std::isfinite(v)) return v > 0 ? "1e999" : (v < 0 ? "-1e999" : "0");
   char buf[32];
@@ -79,33 +83,12 @@ std::string metrics_json(const Snapshot& snap) {
     append_escaped(out, m.name);
     out += ",\"kind\":";
     append_escaped(out, to_string(m.kind));
-    switch (m.kind) {
-      case MetricKind::kCounter:
-        out += ",\"count\":";
-        out += std::to_string(m.count);
-        break;
-      case MetricKind::kGauge:
-        out += ",\"value\":";
-        out += format_double(m.value);
-        break;
-      case MetricKind::kHistogram: {
-        out += ",\"count\":";
-        out += std::to_string(m.count);
-        out += ",\"sum\":";
-        out += format_double(m.value);
-        out += ",\"bounds\":[";
-        for (std::size_t i = 0; i < m.bounds.size(); ++i) {
-          if (i != 0) out.push_back(',');
-          out += format_double(m.bounds[i]);
-        }
-        out += "],\"buckets\":[";
-        for (std::size_t i = 0; i < m.buckets.size(); ++i) {
-          if (i != 0) out.push_back(',');
-          out += std::to_string(m.buckets[i]);
-        }
-        out.push_back(']');
-        break;
-      }
+    if (m.kind == MetricKind::kCounter) {
+      out += ",\"count\":";
+      out += std::to_string(m.count);
+    } else {
+      out += ",\"value\":";
+      out += format_double(m.value);
     }
     out.push_back('}');
   }

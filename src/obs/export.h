@@ -4,7 +4,8 @@
 // the same scenario) and one mixed artifact:
 //
 //  * events_jsonl   — one JSON object per sim-time event (deterministic)
-//  * metrics_json   — the merged registry snapshot (deterministic)
+//  * metrics_json   — a run's counters and gauges (deterministic; the
+//                     engine's summary_snapshot builds them from RunMetrics)
 //  * run_report_*   — per-vehicle accounting table, JSON and CSV
 //                     (deterministic)
 //  * chrome_trace_json — Chrome trace-event format, loadable in Perfetto /
@@ -23,16 +24,32 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace lbchat::obs {
+
+enum class MetricKind : std::uint8_t { kCounter, kGauge };
+
+[[nodiscard]] std::string_view to_string(MetricKind kind);
+
+/// One named metric of a snapshot.
+struct MetricValue {
+  std::string name;
+  MetricKind kind = MetricKind::kCounter;
+  std::uint64_t count = 0;  ///< counter total
+  double value = 0.0;       ///< gauge value
+};
+
+/// A name-sorted set of metrics, as metrics_json renders it.
+struct Snapshot {
+  std::vector<MetricValue> metrics;
+};
 
 /// One JSON object per line: {"t":..,"kind":"..","a":..,"b":..,"value":..}.
 /// A final {"dropped":N} line is appended when the ring overflowed.
 [[nodiscard]] std::string events_jsonl(const std::vector<Event>& events, std::uint64_t dropped);
 
-/// {"metrics":[{"name":..,"kind":..,...}]} — snapshot order (name-sorted).
+/// {"metrics":[{"name":..,"kind":..,"count"|"value":..}]} in snapshot order.
 [[nodiscard]] std::string metrics_json(const Snapshot& snap);
 
 /// Chrome trace-event JSON combining sim instants and wall-clock spans.

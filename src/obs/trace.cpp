@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <string_view>
 
 namespace lbchat::obs {
 
@@ -28,7 +30,6 @@ std::string_view to_string(EventKind kind) {
 }
 
 void EventTracer::emit(const Event& e) {
-  std::lock_guard<std::mutex> lock{mu_};
   if (ring_.size() < cap_) {
     ring_.push_back(e);
     return;
@@ -39,7 +40,6 @@ void EventTracer::emit(const Event& e) {
 }
 
 std::vector<Event> EventTracer::events() const {
-  std::lock_guard<std::mutex> lock{mu_};
   std::vector<Event> out;
   out.reserve(ring_.size());
   // next_ is the oldest slot once the ring has wrapped.
@@ -50,24 +50,20 @@ std::vector<Event> EventTracer::events() const {
 }
 
 std::uint64_t EventTracer::dropped() const {
-  std::lock_guard<std::mutex> lock{mu_};
   return dropped_;
 }
 
 void EventTracer::set_capacity(std::size_t cap) {
-  std::lock_guard<std::mutex> lock{mu_};
   cap_ = std::max<std::size_t>(cap, 1);
 }
 
 void EventTracer::clear() {
-  std::lock_guard<std::mutex> lock{mu_};
   ring_.clear();
   next_ = 0;
   dropped_ = 0;
 }
 
 void EventTracer::restore(std::vector<Event> events, std::uint64_t dropped) {
-  std::lock_guard<std::mutex> lock{mu_};
   if (events.size() > cap_) {
     const std::size_t excess = events.size() - cap_;
     dropped += excess;
@@ -158,13 +154,10 @@ void SpanStore::clear() {
 }
 
 namespace {
-std::atomic<bool> g_events_enabled{false};
 std::atomic<bool> g_spans_enabled{false};
 }  // namespace
 
-bool events_enabled() { return g_events_enabled.load(std::memory_order_relaxed); }
 bool spans_enabled() { return g_spans_enabled.load(std::memory_order_relaxed); }
-void set_events_enabled(bool on) { g_events_enabled.store(on, std::memory_order_relaxed); }
 void set_spans_enabled(bool on) { g_spans_enabled.store(on, std::memory_order_relaxed); }
 
 std::uint64_t monotonic_ns() {
@@ -173,14 +166,16 @@ std::uint64_t monotonic_ns() {
                                         .count());
 }
 
-EventTracer& tracer() {
-  static EventTracer t;
-  return t;
-}
-
 SpanStore& spans() {
   static SpanStore s;
   return s;
+}
+
+TraceRequest trace_request_from_env() {
+  const char* env = std::getenv("LBCHAT_TRACE");
+  const std::string_view v = env != nullptr ? std::string_view{env} : std::string_view{};
+  const bool all = v == "1" || v == "on" || v == "all";
+  return TraceRequest{all || v == "events", all || v == "spans"};
 }
 
 }  // namespace lbchat::obs

@@ -5,23 +5,22 @@
 //  * Events — structured, sim-time-stamped protocol/fault occurrences
 //    (chat start/abort/complete, frame reject, burst begin/end, churn
 //    offline/online, backoff extension, aggregation, coreset exchange, ...).
-//    They are emitted from the engine's single-threaded tick path (or from
-//    strategy callbacks, which run on it), so their order and content are a
-//    pure function of the scenario: the JSONL export of an enabled run is
-//    byte-identical at any thread count. Stored in one bounded ring buffer
-//    with drop-oldest semantics and an explicit dropped counter (no silent
-//    truncation).
+//    Each FleetSim owns one EventTracer and records into it only when the
+//    run was constructed with event recording on. Events are emitted from
+//    the engine's single-threaded tick path (or from strategy callbacks,
+//    which run on it), so their order and content are a pure function of
+//    the scenario: the JSONL export of a recording run is byte-identical at
+//    any thread count, and runs sharing a process never see each other's
+//    events. Stored in a bounded ring buffer with drop-oldest semantics and
+//    an explicit dropped counter (no silent truncation).
 //
 //  * Spans — RAII wall-clock timings around hot paths (conv/GEMM, local
 //    training, evaluation, the wireless tick, frame encode/decode). These
-//    are inherently nondeterministic, so they live in per-thread ring
-//    buffers and are exported segregated from the sim-time sections (their
-//    own process track in the Chrome trace; never in the JSONL/metrics
-//    exports).
-//
-// Everything is gated by two process-wide flags (relaxed atomics): with both
-// off — the default — emission points reduce to one load + branch, and runs
-// are bit-identical to a build without this subsystem.
+//    are inherently nondeterministic, so they live in one process-wide store
+//    of per-thread ring buffers, gated by one process-wide flag (a relaxed
+//    load + branch when off, the default), and are exported segregated from
+//    the sim-time sections (their own process track in the Chrome trace;
+//    never in the JSONL/metrics exports, payloads or checkpoints).
 #pragma once
 
 #include <atomic>
@@ -64,7 +63,8 @@ struct Event {
   double value = 0.0;
 };
 
-/// Bounded drop-oldest ring of sim-time events.
+/// Bounded drop-oldest ring of sim-time events. Single-owner: one run's
+/// tick path writes it, and it is read between ticks or after the run.
 class EventTracer {
  public:
   void emit(const Event& e);
@@ -81,7 +81,6 @@ class EventTracer {
   void restore(std::vector<Event> events, std::uint64_t dropped);
 
  private:
-  mutable std::mutex mu_;
   std::vector<Event> ring_;
   std::size_t cap_ = 1u << 18;
   std::size_t next_ = 0;  ///< overwrite position once the ring is full
@@ -118,25 +117,27 @@ class SpanStore {
   std::uint64_t epoch_ = 1;  ///< bumped by clear() so cached buffers re-register
 };
 
-// --- process-wide enable flags (relaxed; checked on every emission point) ---
-[[nodiscard]] bool events_enabled();
+// --- wall-clock span gate and store (process-wide) ---
 [[nodiscard]] bool spans_enabled();
-void set_events_enabled(bool on);
 void set_spans_enabled(bool on);
 
 /// Monotonic wall clock for spans.
 [[nodiscard]] std::uint64_t monotonic_ns();
 
-// --- global sinks (one per process; see obs/obs.h for lifecycle helpers) ---
-[[nodiscard]] EventTracer& tracer();
 [[nodiscard]] SpanStore& spans();
 
-/// Emit a sim-time event iff event tracing is enabled.
-inline void emit(double t, EventKind kind, int a = -1, int b = -1, double value = 0.0) {
-  if (events_enabled()) {
-    tracer().emit(Event{t, kind, a, b, value});
-  }
-}
+/// What the LBCHAT_TRACE environment variable asks a binary to record:
+///   unset/"" / "0" / "off"  -> nothing (the default)
+///   "1" / "on" / "all"      -> events + spans
+///   "events"                -> sim-time events only (deterministic exports)
+///   "spans"                 -> wall-clock spans only
+/// Events are a per-run choice (the FleetSim constructor); spans go through
+/// set_spans_enabled.
+struct TraceRequest {
+  bool events = false;
+  bool spans = false;
+};
+[[nodiscard]] TraceRequest trace_request_from_env();
 
 /// RAII wall-clock span; reads the clock only when span tracing is enabled.
 class ScopedSpan {

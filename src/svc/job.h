@@ -12,9 +12,9 @@
 // as the lbchat_sim_cli flags are: a dotted field-table row, a short alias,
 // or an object of keys under a group's name ("faults":{...}), each leaf
 // passed as its exact source bytes. Unknown keys, wrong types, out-of-range
-// values, a field set twice (an alias and its row), unknown strategies and
-// option keys outside the strategy's registry schema are hard parse errors
-// (a typo'd knob must not silently run the default).
+// values, a field set twice (an alias and its row), unknown strategies, and
+// option keys or values outside the strategy's registry schema are hard
+// parse errors (a typo'd knob must not silently run the default).
 // parse_job_spec keeps the original spec text so a persisted job
 // round-trips byte-identically through the state directory.
 #pragma once
@@ -37,8 +37,9 @@ struct JobSpec {
   std::string name;
   /// Higher runs earlier; ties broken by submission order.
   int priority = 0;
-  /// Collect sim-time events and include events.jsonl in the payload.
-  /// Serialized by the obs lease (svc/server.cpp), so it costs concurrency.
+  /// Record the run's sim-time events and include events.jsonl in the
+  /// payload. The log belongs to the job's own run, so events jobs run
+  /// concurrently with every other job.
   bool events = false;
   /// Test hook: self-preempt (checkpoint + requeue) once when sim time
   /// reaches this value. <= 0 disables. Excluded from the job fingerprint —

@@ -1,6 +1,5 @@
 #include "svc/result.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -11,62 +10,6 @@
 
 namespace lbchat::svc {
 namespace {
-
-void add_counter(obs::Snapshot& snap, std::string name, std::uint64_t count) {
-  obs::MetricValue m;
-  m.name = std::move(name);
-  m.kind = obs::MetricKind::kCounter;
-  m.count = count;
-  snap.metrics.push_back(std::move(m));
-}
-
-void add_gauge(obs::Snapshot& snap, std::string name, double value) {
-  obs::MetricValue m;
-  m.name = std::move(name);
-  m.kind = obs::MetricKind::kGauge;
-  m.value = value;
-  snap.metrics.push_back(std::move(m));
-}
-
-/// The run-summary snapshot: headline RunMetrics totals under a "run."
-/// prefix, rendered through the same exporter as live registry snapshots.
-obs::Snapshot summary_snapshot(const engine::RunMetrics& m) {
-  obs::Snapshot snap;
-  const engine::TransferStats& t = m.transfers;
-  add_counter(snap, "run.backoff_retries", static_cast<std::uint64_t>(t.backoff_retries));
-  add_counter(snap, "run.bytes_delivered", t.bytes_delivered);
-  add_counter(snap, "run.byzantine_payloads_sent",
-              static_cast<std::uint64_t>(t.byzantine_payloads_sent));
-  add_counter(snap, "run.coreset_sends_completed",
-              static_cast<std::uint64_t>(t.coreset_sends_completed));
-  add_counter(snap, "run.coreset_sends_started",
-              static_cast<std::uint64_t>(t.coreset_sends_started));
-  add_counter(snap, "run.frames_rejected", static_cast<std::uint64_t>(t.frames_rejected));
-  add_counter(snap, "run.frames_rejected_invalid",
-              static_cast<std::uint64_t>(t.frames_rejected_invalid));
-  add_counter(snap, "run.model_frames_rejected",
-              static_cast<std::uint64_t>(t.model_frames_rejected));
-  add_counter(snap, "run.model_sends_completed",
-              static_cast<std::uint64_t>(t.model_sends_completed));
-  add_counter(snap, "run.model_sends_started",
-              static_cast<std::uint64_t>(t.model_sends_started));
-  add_counter(snap, "run.sessions_aborted", static_cast<std::uint64_t>(t.sessions_aborted));
-  add_counter(snap, "run.sessions_lost_to_blackout",
-              static_cast<std::uint64_t>(t.sessions_lost_to_blackout));
-  add_counter(snap, "run.sessions_started", static_cast<std::uint64_t>(t.sessions_started));
-  add_counter(snap, "run.straggler_train_skips",
-              static_cast<std::uint64_t>(t.straggler_train_skips));
-  add_counter(snap, "run.train_steps", static_cast<std::uint64_t>(m.train_steps));
-  add_gauge(snap, "run.attacker_weight_share", t.attacker_weight_share());
-  add_gauge(snap, "run.effective_model_receiving_rate", t.effective_model_receiving_rate());
-  add_gauge(snap, "run.final_mean_loss",
-            m.loss_curve.values.empty() ? 0.0 : m.loss_curve.values.back());
-  add_gauge(snap, "run.model_receiving_rate", t.model_receiving_rate());
-  add_gauge(snap, "run.offline_vehicle_seconds", t.offline_vehicle_seconds);
-  std::sort(snap.metrics.begin(), snap.metrics.end(),
-            [](const obs::MetricValue& a, const obs::MetricValue& b) { return a.name < b.name; });
-  return snap;
-}
 
 void append_curve(std::string& out, const engine::RunMetrics& m) {
   out += "\"loss_curve\":{\"times\":[";
@@ -107,7 +50,7 @@ bool read_file(const std::filesystem::path& path, std::string& out) {
 JobPayload build_payload(const JobSpec& spec, const engine::RunMetrics& metrics,
                          std::string events_jsonl) {
   JobPayload p;
-  p.metrics_json = obs::metrics_json(summary_snapshot(metrics));
+  p.metrics_json = obs::metrics_json(engine::summary_snapshot(metrics));
   p.report_json =
       obs::run_report_json(engine::build_run_report(spec.approach_name, spec.cfg, metrics));
   p.events_jsonl = std::move(events_jsonl);

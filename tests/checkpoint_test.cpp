@@ -18,10 +18,9 @@
 #include "common/rng.h"
 #include "engine/checkpoint.h"
 #include "engine/fleet.h"
+#include "engine/report.h"
 #include "nn/optim.h"
 #include "obs/export.h"
-#include "obs/obs.h"
-#include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace {
@@ -153,31 +152,6 @@ TEST(CheckpointUnit, EventTracerRestore) {
   EXPECT_EQ(t.events().back().t, 9.0);
 }
 
-TEST(CheckpointUnit, RegistryRestoreReproducesSnapshot) {
-  obs::MetricsRegistry reg;
-  reg.add(reg.counter("ckpt_test/sends"), 7);
-  reg.set(reg.gauge("ckpt_test/rate"), 0.875);
-  const double bounds[] = {1.0, 2.0, 4.0};
-  const auto h = reg.histogram("ckpt_test/dur", bounds);
-  reg.observe(h, 0.5);
-  reg.observe(h, 3.0);
-  reg.observe(h, 100.0);
-  const obs::Snapshot snap = reg.snapshot();
-
-  obs::MetricsRegistry fresh;
-  fresh.restore(snap);
-  const obs::Snapshot again = fresh.snapshot();
-  ASSERT_EQ(again.metrics.size(), snap.metrics.size());
-  for (std::size_t i = 0; i < snap.metrics.size(); ++i) {
-    EXPECT_EQ(again.metrics[i].name, snap.metrics[i].name);
-    EXPECT_EQ(again.metrics[i].kind, snap.metrics[i].kind);
-    EXPECT_EQ(again.metrics[i].count, snap.metrics[i].count);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(again.metrics[i].value),
-              std::bit_cast<std::uint64_t>(snap.metrics[i].value));
-    EXPECT_EQ(again.metrics[i].buckets, snap.metrics[i].buckets);
-  }
-}
-
 // --- full-sim round-trip + resume contract ----------------------------------
 
 TEST(CheckpointRestore, RoundTripRestoresClockAndModels) {
@@ -277,35 +251,31 @@ TEST(CheckpointDeterminism, SimGossipThreadBitIdentity) {
 void expect_exports_survive_resume(int threads) {
   auto cfg = tiny_cfg(21, /*faults=*/true);
   cfg.num_threads = threads;
+  const auto recording = [&cfg] {
+    return FleetSim{cfg, baselines::registry().make("LbChat"), /*record_events=*/true};
+  };
+  const auto events_of = [](const FleetSim& sim) {
+    return obs::events_jsonl(sim.events().events(), sim.events().dropped());
+  };
 
-  obs::reset();
-  obs::set_events_enabled(true);
-  auto straight = make_sim(cfg, "LbChat");
-  (void)straight.run();
-  const std::string events_straight =
-      obs::events_jsonl(obs::tracer().events(), obs::tracer().dropped());
-  const std::string metrics_straight = obs::metrics_json(obs::registry().snapshot());
+  auto straight = recording();
+  const std::string metrics_straight =
+      obs::metrics_json(engine::summary_snapshot(straight.run()));
 
-  obs::reset();
-  auto first = make_sim(cfg, "LbChat");
+  auto first = recording();
   first.prepare();
   first.run_until(14.0);
   const auto bytes = checkpoint_of(first);
 
-  obs::reset();  // fresh-process stand-in: all collected obs data cleared
-  auto resumed = make_sim(cfg, "LbChat");
+  auto resumed = recording();  // a fresh process's sim: an empty event log
   ByteReader r{bytes};
   ASSERT_EQ(resumed.restore(r), CkptStatus::kOk);
   resumed.run_until(cfg.duration_s);
-  (void)resumed.finalize();
-  const std::string events_resumed =
-      obs::events_jsonl(obs::tracer().events(), obs::tracer().dropped());
-  const std::string metrics_resumed = obs::metrics_json(obs::registry().snapshot());
+  const std::string metrics_resumed =
+      obs::metrics_json(engine::summary_snapshot(resumed.finalize()));
 
-  EXPECT_EQ(events_straight, events_resumed) << "threads=" << threads;
+  EXPECT_EQ(events_of(straight), events_of(resumed)) << "threads=" << threads;
   EXPECT_EQ(metrics_straight, metrics_resumed) << "threads=" << threads;
-  obs::set_events_enabled(false);
-  obs::reset();
 }
 
 TEST(CheckpointRestore, ResumePreservesEventAndMetricsExports) {

@@ -84,6 +84,36 @@ TEST(FleetSimTest, CollectPhasePopulatesDatasets) {
   EXPECT_GT(m.train_steps, 0);
 }
 
+TEST(FleetSimTest, CollectSplitCountsTheFramesCollectPhaseTrainsOn) {
+  // validate() refuses a config by this count, so it must be what the
+  // collect phase leaves each vehicle...
+  auto cfg = tiny_scenario();
+  FleetSim sim{cfg, std::make_unique<LocalOnlyStrategy>()};
+  sim.prepare();
+  for (int v = 0; v < cfg.num_vehicles; ++v) {
+    EXPECT_EQ(sim.node(v).dataset.size(), collect_split(cfg).training_frames());
+  }
+  // ...and its closed form must match a frame-by-frame count of any split.
+  cfg.collect_fps = 1.0;
+  for (const double frames : {0.0, 1.0, 2.0, 12.0, 13.0, 14.0, 25.0, 120.0, 601.0}) {
+    for (const int eval : {0, 1, 12, 40}) {
+      for (const double fraction : {0.0, 0.1, 0.3, 0.6, 1.0, 2.0}) {
+        cfg.collect_duration_s = frames;
+        cfg.eval_frames_per_vehicle = eval;
+        cfg.validation_fraction = fraction;
+        const CollectSplit split = collect_split(cfg);
+        std::size_t direct = 0;
+        for (int i = 0; i < split.frames; ++i) {
+          const auto idx = static_cast<std::size_t>(i);
+          if (!split.eval(idx) && !split.validation(idx)) ++direct;
+        }
+        EXPECT_EQ(split.training_frames(), direct)
+            << frames << " frames, " << eval << " eval, fraction " << fraction;
+      }
+    }
+  }
+}
+
 TEST(FleetSimTest, CommandBalancedWeights) {
   auto cfg = tiny_scenario();
   cfg.collect_duration_s = 240.0;  // enough frames for all commands to appear

@@ -67,11 +67,15 @@ std::string nested_member(const std::string& dotted, const std::string& text) {
   return "\"" + dotted.substr(0, dot) + "\":{" + nested_member(dotted.substr(dot + 1), text) + "}";
 }
 
-/// Move a field off its current value: flip a bool, add one to a number.
+/// Move a field off its current value: flip a bool, add one to an integer
+/// and a half to a floating-point number (validation_fraction 0.1 + 1 would
+/// hold out every collected frame, a config validate() refuses).
 template <class T>
 void perturb(T& v) {
   if constexpr (std::is_same_v<T, bool>) {
     v = !v;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    v = v + T{0.5};
   } else {
     v = v + T{1};
   }

@@ -6,12 +6,8 @@
 // tests/goldens/. The digest pins end-to-end engine behaviour bit-exactly
 // across PRs: any change to world stepping, training, the protocol, fault
 // injection, event emission, or the checkpoint wire format shows up as a
-// digest mismatch.
-//
-// IMPORTANT: metric definitions accumulate per process and the checkpoint
-// embeds the registry snapshot, so digests depend on which scenarios ran
-// earlier in the same process. Both the test and the tool therefore run ALL
-// scenarios in one process, in kGoldenScenarios order.
+// digest mismatch. Every digest is a function of its scenario alone: the
+// event log belongs to the run, so scenarios may run in any order.
 #pragma once
 
 #include <bit>
@@ -26,8 +22,6 @@
 #include "engine/fleet.h"
 #include "nn/kernel_dispatch.h"
 #include "obs/export.h"
-#include "obs/obs.h"
-#include "obs/trace.h"
 
 namespace lbchat::golden {
 
@@ -116,11 +110,9 @@ inline std::string run_golden_scenario(const GoldenScenario& sc) {
   // the suite passes on any machine regardless of the runtime CPUID dispatch
   // (DESIGN.md §15). LBCHAT_KERNEL still governs every non-golden run.
   nn::ScopedKernelPath kernel_guard{nn::KernelPath::kScalar};
-  obs::reset();
-  obs::set_events_enabled(true);
   engine::FleetSim sim{sc.metro > 0 ? golden_metro_config(sc.seed, sc.faults, sc.metro)
                                     : golden_config(sc.seed, sc.faults),
-                       baselines::registry().make(sc.approach)};
+                       baselines::registry().make(sc.approach), /*record_events=*/true};
   sim.prepare();
   sim.run_until(sim.config().duration_s);
   ByteWriter ckpt;
@@ -132,7 +124,7 @@ inline std::string run_golden_scenario(const GoldenScenario& sc) {
     curve = fnv64(curve, std::bit_cast<std::uint64_t>(m.loss_curve.times[i]));
     curve = fnv64(curve, std::bit_cast<std::uint64_t>(m.loss_curve.values[i]));
   }
-  const std::string events = obs::events_jsonl(obs::tracer().events(), obs::tracer().dropped());
+  const std::string events = obs::events_jsonl(sim.events().events(), sim.events().dropped());
   const std::vector<std::uint8_t> events_bytes{events.begin(), events.end()};
 
   char buf[64];

@@ -1,9 +1,6 @@
 // Golden-scenario regression suite: runs the fixed-seed scenarios from
 // golden_scenarios.h and compares their digests against the committed
 // goldens in tests/goldens/ (path baked in via LBCHAT_GOLDEN_DIR).
-//
-// All scenarios run inside ONE test, in kGoldenScenarios order, because the
-// metrics registry accumulates definitions per process (see the header).
 
 #include <cstdio>
 #include <string>
@@ -25,24 +22,31 @@ bool read_text(const std::string& path, std::string& out) {
   return true;
 }
 
+void expect_matches_committed(const lbchat::golden::GoldenScenario& sc) {
+  const std::string path = std::string{LBCHAT_GOLDEN_DIR} + "/" + sc.name + ".golden";
+  std::string expected;
+  ASSERT_TRUE(read_text(path, expected))
+      << "missing golden file " << path << "\nGenerate it with: build/tools/golden_regen";
+  const std::string actual = lbchat::golden::run_golden_scenario(sc);
+  EXPECT_EQ(expected, actual)
+      << "golden digest mismatch for scenario '" << sc.name << "'\n"
+      << "--- expected (" << path << ")\n"
+      << expected << "+++ actual\n"
+      << actual
+      << "If this behaviour change is intentional, regenerate the goldens\n"
+      << "with build/tools/golden_regen and commit the updated files.";
+}
+
 TEST(GoldenScenarios, DigestsMatchCommitted) {
-  using namespace lbchat::golden;
-  const std::string dir = LBCHAT_GOLDEN_DIR;
-  for (const auto& sc : kGoldenScenarios) {
-    const std::string path = dir + "/" + sc.name + ".golden";
-    std::string expected;
-    ASSERT_TRUE(read_text(path, expected))
-        << "missing golden file " << path
-        << "\nGenerate it with: build/tools/golden_regen";
-    const std::string actual = run_golden_scenario(sc);
-    EXPECT_EQ(expected, actual)
-        << "golden digest mismatch for scenario '" << sc.name << "'\n"
-        << "--- expected (" << path << ")\n"
-        << expected << "+++ actual\n"
-        << actual
-        << "If this behaviour change is intentional, regenerate the goldens\n"
-        << "with build/tools/golden_regen and commit the updated files.";
-  }
+  for (const auto& sc : lbchat::golden::kGoldenScenarios) expect_matches_committed(sc);
+}
+
+// A digest depends on its scenario alone, not on what ran before it in the
+// process: two small scenarios, run in reverse kGoldenScenarios order.
+TEST(GoldenScenarios, DigestsDoNotDependOnRunOrder) {
+  using lbchat::golden::kGoldenScenarios;
+  expect_matches_committed(kGoldenScenarios[2]);
+  expect_matches_committed(kGoldenScenarios[0]);
 }
 
 }  // namespace

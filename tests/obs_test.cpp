@@ -1,131 +1,24 @@
-// Tests for the observability subsystem: metrics-registry snapshot
-// determinism (1 writer thread vs 4), event-ring drop semantics, exporter
-// well-formedness, and the engine-level contract — enabling observability
-// never changes simulation results, and the sim-time exports (events JSONL,
-// metrics JSON) are byte-identical at any worker thread count.
+// Tests for the observability subsystem: event-ring drop semantics,
+// exporter well-formedness, and the engine-level contract — recording never
+// changes simulation results, the sim-time exports (events JSONL, metrics
+// JSON) are byte-identical at any worker thread count, and each run's log
+// holds its own events only.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/registry.h"
 #include "engine/fleet.h"
 #include "engine/report.h"
 #include "obs/export.h"
-#include "obs/obs.h"
 
 namespace lbchat {
 namespace {
-
-// ------------------------------------------------------------- registry
-
-TEST(MetricsRegistryTest, CounterGaugeHistogramRoundTrip) {
-  obs::MetricsRegistry reg;
-  const auto c = reg.counter("chats");
-  const auto g = reg.gauge("rate");
-  const std::vector<double> bounds{1.0, 2.0, 5.0};
-  const auto h = reg.histogram("latency", bounds);
-
-  reg.add(c, 3);
-  reg.add(c);
-  reg.set(g, 0.25);
-  reg.set(g, 0.75);  // last write wins
-  reg.observe(h, 0.5);
-  reg.observe(h, 1.5);
-  reg.observe(h, 100.0);
-
-  const obs::Snapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.metrics.size(), 3u);
-  // Name-sorted.
-  EXPECT_EQ(snap.metrics[0].name, "chats");
-  EXPECT_EQ(snap.metrics[1].name, "latency");
-  EXPECT_EQ(snap.metrics[2].name, "rate");
-
-  const obs::MetricValue* chats = snap.find("chats");
-  ASSERT_NE(chats, nullptr);
-  EXPECT_EQ(chats->kind, obs::MetricKind::kCounter);
-  EXPECT_EQ(chats->count, 4u);
-
-  const obs::MetricValue* rate = snap.find("rate");
-  ASSERT_NE(rate, nullptr);
-  EXPECT_DOUBLE_EQ(rate->value, 0.75);
-
-  const obs::MetricValue* lat = snap.find("latency");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->count, 3u);
-  EXPECT_DOUBLE_EQ(lat->value, 102.0);  // integer-microunit sum is exact here
-  ASSERT_EQ(lat->buckets.size(), 4u);   // 3 bounds + overflow
-  EXPECT_EQ(lat->buckets[0], 1u);
-  EXPECT_EQ(lat->buckets[1], 1u);
-  EXPECT_EQ(lat->buckets[2], 0u);
-  EXPECT_EQ(lat->buckets[3], 1u);
-
-  EXPECT_EQ(snap.find("absent"), nullptr);
-}
-
-TEST(MetricsRegistryTest, SameNameDifferentKindThrows) {
-  obs::MetricsRegistry reg;
-  (void)reg.counter("x");
-  EXPECT_THROW((void)reg.gauge("x"), std::invalid_argument);
-  EXPECT_THROW((void)reg.histogram("x", std::vector<double>{1.0}), std::invalid_argument);
-  // Re-registering with the matching kind returns the same slot.
-  EXPECT_EQ(reg.counter("x").slot, reg.counter("x").slot);
-}
-
-TEST(MetricsRegistryTest, SnapshotIdenticalForOneAndFourWriterThreads) {
-  const std::vector<double> bounds{0.5, 1.5, 2.5};
-  constexpr int kOps = 4000;
-  const auto workload = [&](obs::MetricsRegistry& reg, int num_threads) {
-    const auto c = reg.counter("work.items");
-    const auto h = reg.histogram("work.cost", bounds);
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(num_threads));
-    for (int w = 0; w < num_threads; ++w) {
-      workers.emplace_back([&, w] {
-        for (int i = w; i < kOps; i += num_threads) {
-          reg.add(c, static_cast<std::uint64_t>(i % 3));
-          reg.observe(h, static_cast<double>(i % 7) * 0.5);
-        }
-      });
-    }
-    for (auto& t : workers) t.join();
-  };
-
-  obs::MetricsRegistry serial;
-  workload(serial, 1);
-  obs::MetricsRegistry sharded;
-  workload(sharded, 4);
-
-  const obs::Snapshot a = serial.snapshot();
-  const obs::Snapshot b = sharded.snapshot();
-  ASSERT_EQ(a.metrics.size(), b.metrics.size());
-  for (std::size_t i = 0; i < a.metrics.size(); ++i) {
-    EXPECT_EQ(a.metrics[i].name, b.metrics[i].name);
-    EXPECT_EQ(a.metrics[i].kind, b.metrics[i].kind);
-    EXPECT_EQ(a.metrics[i].count, b.metrics[i].count);
-    EXPECT_DOUBLE_EQ(a.metrics[i].value, b.metrics[i].value);
-    EXPECT_EQ(a.metrics[i].bounds, b.metrics[i].bounds);
-    EXPECT_EQ(a.metrics[i].buckets, b.metrics[i].buckets);
-  }
-}
-
-TEST(MetricsRegistryTest, ResetValuesKeepsDefinitionsAndHandles) {
-  obs::MetricsRegistry reg;
-  const auto c = reg.counter("c");
-  reg.add(c, 9);
-  reg.reset_values();
-  const obs::Snapshot snap = reg.snapshot();
-  const obs::MetricValue* m = snap.find("c");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->count, 0u);
-  reg.add(c, 2);  // old handle still valid
-  EXPECT_EQ(reg.snapshot().find("c")->count, 2u);
-}
 
 // -------------------------------------------------------------- event ring
 
@@ -165,17 +58,12 @@ engine::ScenarioConfig traced_scenario() {
   return cfg;
 }
 
-/// Global-state fixture: every test starts and ends with observability fully
-/// disabled and empty, so tests cannot leak events into each other.
+/// Leaves the process-wide span gate off and the span store empty.
 class ObsEngineTest : public ::testing::Test {
  protected:
-  void SetUp() override { disarm(); }
-  void TearDown() override { disarm(); }
-
-  static void disarm() {
-    obs::set_events_enabled(false);
+  void TearDown() override {
     obs::set_spans_enabled(false);
-    obs::reset();
+    obs::spans().clear();
   }
 
   struct Capture {
@@ -184,18 +72,19 @@ class ObsEngineTest : public ::testing::Test {
     std::string metrics;
   };
 
+  static Capture capture(const engine::FleetSim& sim, engine::RunMetrics m) {
+    Capture cap;
+    cap.events = obs::events_jsonl(sim.events().events(), sim.events().dropped());
+    cap.metrics = obs::metrics_json(engine::summary_snapshot(m));
+    cap.m = std::move(m);
+    return cap;
+  }
+
   static Capture run_traced(const engine::ScenarioConfig& cfg, int threads) {
-    obs::reset();
-    obs::set_events_enabled(true);
     auto c = cfg;
     c.num_threads = threads;
-    engine::FleetSim sim{c, baselines::registry().make("LbChat")};
-    Capture cap;
-    cap.m = sim.run();
-    cap.events = obs::events_jsonl(obs::tracer().events(), obs::tracer().dropped());
-    cap.metrics = obs::metrics_json(obs::registry().snapshot());
-    obs::set_events_enabled(false);
-    return cap;
+    engine::FleetSim sim{c, baselines::registry().make("LbChat"), /*record_events=*/true};
+    return capture(sim, sim.run());
   }
 };
 
@@ -216,15 +105,15 @@ TEST_F(ObsEngineTest, SimTimeExportsByteIdenticalAcrossThreadCounts) {
 TEST_F(ObsEngineTest, EnablingObservabilityIsBitInert) {
   const auto cfg = traced_scenario();
 
-  obs::reset();  // both flags off: the default production configuration
+  // Recording off: the default production configuration.
   engine::FleetSim off{cfg, baselines::registry().make("LbChat")};
   const engine::RunMetrics m_off = off.run();
-  EXPECT_TRUE(obs::tracer().events().empty());
+  EXPECT_TRUE(off.events().events().empty());
 
-  obs::set_events_enabled(true);
   obs::set_spans_enabled(true);
-  engine::FleetSim on{cfg, baselines::registry().make("LbChat")};
+  engine::FleetSim on{cfg, baselines::registry().make("LbChat"), /*record_events=*/true};
   const engine::RunMetrics m_on = on.run();
+  EXPECT_FALSE(on.events().events().empty());
 
   EXPECT_EQ(m_off.train_steps, m_on.train_steps);
   EXPECT_EQ(m_off.transfers.bytes_delivered, m_on.transfers.bytes_delivered);
@@ -238,15 +127,12 @@ TEST_F(ObsEngineTest, EnablingObservabilityIsBitInert) {
 
 TEST_F(ObsEngineTest, ChromeTraceValidatesAndReportCoversFleet) {
   auto cfg = traced_scenario();
-  obs::reset();
-  obs::set_events_enabled(true);
   obs::set_spans_enabled(true);
   cfg.num_threads = 2;
-  engine::FleetSim sim{cfg, baselines::registry().make("LbChat")};
+  engine::FleetSim sim{cfg, baselines::registry().make("LbChat"), /*record_events=*/true};
   const engine::RunMetrics m = sim.run();
 
-  const std::string trace =
-      obs::chrome_trace_json(obs::tracer().events(), obs::spans().spans());
+  const std::string trace = obs::chrome_trace_json(sim.events().events(), obs::spans().spans());
   EXPECT_EQ(obs::validate_chrome_trace(trace), "");
 
   // The validator is not a rubber stamp.
@@ -269,6 +155,31 @@ TEST_F(ObsEngineTest, ChromeTraceValidatesAndReportCoversFleet) {
   const auto lines = static_cast<std::size_t>(
       std::count(csv.begin(), csv.end(), '\n'));
   EXPECT_EQ(lines, report.vehicles.size() + 1);
+}
+
+TEST_F(ObsEngineTest, RunsSharingAThreadKeepTheirOwnExports) {
+  // Two recording runs of different scenarios, advanced in alternating
+  // slices on one thread, export exactly what each exports alone.
+  const auto cfg_a = traced_scenario();
+  auto cfg_b = traced_scenario();
+  cfg_b.seed = 2;
+  cfg_b.faults = engine::FaultConfig{};
+  const Capture solo_a = run_traced(cfg_a, 1);
+  const Capture solo_b = run_traced(cfg_b, 1);
+  ASSERT_NE(solo_a.events, solo_b.events);
+
+  engine::FleetSim a{cfg_a, baselines::registry().make("LbChat"), /*record_events=*/true};
+  engine::FleetSim b{cfg_b, baselines::registry().make("LbChat"), /*record_events=*/true};
+  for (double t = 40.0; t < cfg_a.duration_s + 40.0; t += 40.0) {
+    a.run_until(t);
+    b.run_until(t);
+  }
+  const Capture mixed_a = capture(a, a.finalize());
+  const Capture mixed_b = capture(b, b.finalize());
+  EXPECT_EQ(mixed_a.events, solo_a.events);
+  EXPECT_EQ(mixed_a.metrics, solo_a.metrics);
+  EXPECT_EQ(mixed_b.events, solo_b.events);
+  EXPECT_EQ(mixed_b.metrics, solo_b.metrics);
 }
 
 }  // namespace

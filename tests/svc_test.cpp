@@ -13,11 +13,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "svc/job.h"
 #include "svc/json.h"
@@ -224,6 +226,23 @@ TEST(JobSpecTest, RejectsUnknownAndInvalid) {
   EXPECT_FALSE(parse_job_spec(R"({"hetero":{"dataset_skew":0.1},"straggler_frac":0.25})", spec,
                               err));
   EXPECT_FALSE(parse_job_spec(R"({"priority":1.5})", spec, err));
+  // Fleet-size ceilings, checked before the metro scale multiplies the
+  // background traffic by the count ratio (it wrapped an int). Parsed only.
+  EXPECT_FALSE(parse_job_spec(R"({"num_vehicles":2000000000})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"vehicles":2000000000})", spec, err));
+  // Option values outside their schema range: the factories cast them to
+  // integers, which is undefined behaviour out of range.
+  EXPECT_FALSE(parse_job_spec(R"({"strategy_options":{"eval_cap":1e30}})", spec, err));
+  EXPECT_NE(err.find("eval_cap"), std::string::npos) << err;
+  EXPECT_FALSE(parse_job_spec(R"({"strategy_options":{"eval_cap":-1}})", spec, err));
+  EXPECT_FALSE(parse_job_spec(
+      R"({"strategy":"DFL-DDS","strategy_options":{"alpha_steps":1e30}})", spec, err));
+  // A collect split that leaves a vehicle no training frame: 2 frames, both
+  // taken by the eval set; or every non-eval frame held out for validation.
+  EXPECT_FALSE(parse_job_spec(R"({"collect_duration":1})", spec, err));
+  EXPECT_NE(err.find("training frame"), std::string::npos) << err;
+  EXPECT_FALSE(parse_job_spec(R"({"collect_duration":5})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"collect_duration":60,"validation_fraction":1})", spec, err));
 }
 
 TEST(JobSpecTest, SeedsAboveTwoToThe53ParseExactly) {
@@ -536,6 +555,57 @@ TEST(FleetServiceTest, EventsJobExportsIdenticalEventsAcrossPreemption) {
   service.shutdown(false);
   std::filesystem::remove_all(ref_root);
   std::filesystem::remove_all(root);
+}
+
+TEST(FleetServiceTest, ConcurrentEventsJobsKeepTheirOwnEvents) {
+  // Each events job records into its own run's log, so two of them run side
+  // by side on two workers and still serve the payloads of a one-worker
+  // service that ran them one after the other.
+  const std::string specs[] = {tiny_spec(7, R"("events":true)"),
+                               tiny_spec(8, R"("events":true)")};
+  const auto run_both = [&specs](const std::string& tag, int workers, bool& overlapped) {
+    const auto root = fresh_dir(tag);
+    FleetService service{tiny_options(root, workers, /*cache_enabled=*/false)};
+    std::string error;
+    std::uint64_t ids[2] = {service.submit(specs[0], error), service.submit(specs[1], error)};
+    EXPECT_NE(ids[0], 0u) << error;
+    EXPECT_NE(ids[1], 0u) << error;
+    // Both mid-run at once: past their first slice and neither finished.
+    overlapped = false;
+    for (bool busy = true; busy;) {
+      const auto a = service.status(ids[0]);
+      const auto b = service.status(ids[1]);
+      overlapped = overlapped || (a->state == JobState::kRunning && a->progress_s > 0.0 &&
+                                  b->state == JobState::kRunning && b->progress_s > 0.0);
+      busy = a->state != JobState::kDone || b->state != JobState::kDone;
+      if (a->state == JobState::kFailed || b->state == JobState::kFailed) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::vector<JobPayload> out(2);
+    for (int i = 0; i < 2; ++i) {
+      JobStatus st;
+      EXPECT_TRUE(service.wait(ids[i], st));
+      EXPECT_EQ(st.state, JobState::kDone) << st.error;
+      EXPECT_TRUE(service.result(ids[i], out[static_cast<std::size_t>(i)], error)) << error;
+    }
+    service.shutdown(false);
+    std::filesystem::remove_all(root);
+    return out;
+  };
+  bool serial_overlap = false;
+  bool concurrent_overlap = false;
+  const auto serial = run_both("ev_one_worker", 1, serial_overlap);
+  const auto concurrent = run_both("ev_two_workers", 2, concurrent_overlap);
+  EXPECT_FALSE(serial_overlap);
+  EXPECT_TRUE(concurrent_overlap) << "the two events jobs never ran at the same time";
+  EXPECT_NE(serial[0].events_jsonl, serial[1].events_jsonl);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_FALSE(serial[i].events_jsonl.empty());
+    EXPECT_EQ(concurrent[i].events_jsonl, serial[i].events_jsonl) << "job " << i;
+    EXPECT_EQ(concurrent[i].metrics_json, serial[i].metrics_json) << "job " << i;
+    EXPECT_EQ(concurrent[i].report_json, serial[i].report_json) << "job " << i;
+    EXPECT_EQ(concurrent[i].manifest_json, serial[i].manifest_json) << "job " << i;
+  }
 }
 
 // Graceful-shutdown hardening: a daemon stopped mid-run persists every
